@@ -32,8 +32,8 @@ func BenchmarkShardedSketch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "data.csv")
-	writeTestCSV(b, path, 4000, 8, 99)
+	path := filepath.Join(b.TempDir(), "data.f64")
+	writeTestSpool(b, path, 4000, 8, 99)
 	const chunk, shards = 64, 4
 	c, err := NewCoordinator(st, CoordinatorOptions{
 		Node: "coord", Workers: 2,
@@ -68,9 +68,9 @@ func TestWorkerScalingThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short mode")
 	}
-	path := filepath.Join(t.TempDir(), "data.csv")
+	path := filepath.Join(t.TempDir(), "data.f64")
 	const rows, cols, chunk, shards, iters = 20000, 12, 250, 8, 3
-	writeTestCSV(t, path, rows, cols, 7)
+	writeTestSpool(t, path, rows, cols, 7)
 	want := serialSketchBytes(t, path, chunk)
 
 	run := func(nWorkers int) (time.Duration, []byte) {
@@ -108,7 +108,7 @@ func TestWorkerScalingThroughput(t *testing.T) {
 		defer cancel()
 		// Warm the CAS (split cost is identical either way) so the timed
 		// region measures task execution throughput.
-		if _, err := st.SplitCSVShards(path, chunk, shards); err != nil {
+		if _, err := st.SplitSpoolShards(path, chunk, shards); err != nil {
 			t.Fatal(err)
 		}
 		var bits []byte

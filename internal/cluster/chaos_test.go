@@ -104,8 +104,8 @@ func TestChaosDoneFileReadFaultsConverge(t *testing.T) {
 		faultfs.Rule{Op: faultfs.OpRead, Path: "tasks/done", Times: 3, Err: faultfs.ErrIO},
 	)
 	st := chaosStore(t, filepath.Join(t.TempDir(), "cluster"), inj)
-	path := filepath.Join(t.TempDir(), "data.csv")
-	writeTestCSV(t, path, 160, 4, 23)
+	path := filepath.Join(t.TempDir(), "data.f64")
+	writeTestSpool(t, path, 160, 4, 23)
 	const chunk, shards = 8, 3
 	want := serialSketchBytes(t, path, chunk)
 

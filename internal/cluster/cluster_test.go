@@ -6,45 +6,49 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"randpriv/internal/dataset"
+	"randpriv/internal/mat"
 	"randpriv/internal/stream"
 )
 
-// writeTestCSV writes a deterministic rows×cols CSV of mixed-scale
-// values (plenty of bits below the decimal point, so byte-identity
-// failures cannot hide behind round numbers).
-func writeTestCSV(t testing.TB, path string, rows, cols int, seed int64) {
+// writeTestSpool writes a deterministic rows×cols float64 spool of
+// mixed-scale values (plenty of bits below the decimal point, so
+// byte-identity failures cannot hide behind round numbers).
+func writeTestSpool(t testing.TB, path string, rows, cols int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var sb strings.Builder
-	for j := 0; j < cols; j++ {
-		if j > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "c%d", j)
+	data := mat.Zeros(rows, cols)
+	for i := range data.Raw() {
+		data.Raw()[i] = (rng.NormFloat64() + 2) * float64(1+rng.Intn(500))
 	}
-	sb.WriteByte('\n')
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if j > 0 {
-				sb.WriteByte(',')
-			}
-			v := (rng.NormFloat64() + 2) * float64(1+rng.Intn(500))
-			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		sb.WriteByte('\n')
+	writeSpoolFile(t, path, data)
+}
+
+// writeSpoolFile writes data as a float64 spool at path.
+func writeSpoolFile(t testing.TB, path string, data *mat.Dense) {
+	t.Helper()
+	var buf bytes.Buffer
+	sw, err := dataset.NewSpoolWriter(&buf, data.Cols())
+	if err == nil {
+		err = sw.Append(data)
 	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatalf("write test csv: %v", err)
+	if err == nil {
+		err = sw.Flush()
+	}
+	if err == nil {
+		err = os.WriteFile(path, buf.Bytes(), 0o644)
+	}
+	if err != nil {
+		t.Fatalf("write test spool: %v", err)
 	}
 }
 
@@ -62,9 +66,9 @@ func serialSketchBytes(t *testing.T, path string, chunk int) []byte {
 
 func serialSketch(t *testing.T, path string, chunk int) *stream.Moments {
 	t.Helper()
-	src, err := dataset.OpenCSVChunks(path, chunk)
+	src, err := dataset.OpenSpool(path, chunk)
 	if err != nil {
-		t.Fatalf("open csv: %v", err)
+		t.Fatalf("open spool: %v", err)
 	}
 	defer src.Close()
 	mo, err := stream.Accumulate(src, 1)
@@ -300,24 +304,67 @@ func TestCASAndResultCache(t *testing.T) {
 	}
 }
 
+// TestSplitDeclines pins the spool splitter's refusals: input it cannot
+// cut into whole rows is an error, and the caller falls back to the
+// serial sketch.
 func TestSplitDeclines(t *testing.T) {
 	st := openStore(t)
 	dir := t.TempDir()
-	cases := map[string]string{
-		"quoted field":   "a,b\n1,\"2\"\n3,4\n",
-		"quoted header":  "\"a\",b\n1,2\n",
-		"blank line":     "a,b\n1,2\n\n3,4\n",
-		"no data rows":   "a,b\n",
-		"cr-only trails": "a,b\n1,2\n\r",
+	header := dataset.SpoolHeader(2)
+	cases := map[string][]byte{
+		"no data rows":      header,
+		"partial row":       append(append([]byte{}, header...), make([]byte, 24)...),
+		"truncated header":  header[:10],
+		"not a spool":       []byte("a,b\n1,2\n3,4\n"),
+		"zero-column spool": dataset.SpoolHeader(0),
 	}
 	for name, content := range cases {
-		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".csv")
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".f64")
+		if err := os.WriteFile(p, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.SplitCSVShards(p, 2, 2); err == nil {
+		if _, err := st.SplitSpoolShards(p, 2, 2); err == nil {
 			t.Errorf("%s: split succeeded, want refusal", name)
 		}
+	}
+}
+
+// TestSplitSpoolShardsAtRowOffsets pins the cut itself: every shard is a
+// spool of its own holding a chunk-multiple run of rows, and the shards
+// concatenate back to the original rows, bit for bit.
+func TestSplitSpoolShardsAtRowOffsets(t *testing.T) {
+	st := openStore(t)
+	path := filepath.Join(t.TempDir(), "data.f64")
+	writeTestSpool(t, path, 23, 3, 5)
+	const chunk = 4
+	digests, err := st.SplitSpoolShards(path, chunk, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(digests) != 3 {
+		t.Fatalf("got %d shards, want 3", len(digests))
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []byte
+	for i, d := range digests {
+		b, err := os.ReadFile(st.CASPath(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b[:dataset.SpoolHeaderSize], whole[:dataset.SpoolHeaderSize]) {
+			t.Fatalf("shard %d header differs from the spool's", i)
+		}
+		n := (len(b) - dataset.SpoolHeaderSize) / (3 * 8)
+		if i < len(digests)-1 && n%chunk != 0 {
+			t.Errorf("shard %d holds %d rows, not a multiple of the %d-row chunk", i, n, chunk)
+		}
+		rows = append(rows, b[dataset.SpoolHeaderSize:]...)
+	}
+	if !bytes.Equal(rows, whole[dataset.SpoolHeaderSize:]) {
+		t.Fatal("shards do not concatenate back to the spool's rows")
 	}
 }
 
@@ -342,8 +389,8 @@ func TestShardedSketchByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			st := openStore(t)
-			path := filepath.Join(t.TempDir(), "data.csv")
-			writeTestCSV(t, path, tc.rows, tc.cols, 42)
+			path := filepath.Join(t.TempDir(), "data.f64")
+			writeTestSpool(t, path, tc.rows, tc.cols, 42)
 			want := serialSketchBytes(t, path, tc.chunk)
 
 			c, err := NewCoordinator(st, CoordinatorOptions{
@@ -378,8 +425,8 @@ func TestShardedSketchByteIdentical(t *testing.T) {
 // speak, exercised in-process so the test stays hermetic.
 func TestShardedSketchExternalWorkers(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.csv")
-	writeTestCSV(t, path, 500, 6, 7)
+	path := filepath.Join(t.TempDir(), "data.f64")
+	writeTestSpool(t, path, 500, 6, 7)
 	const chunk = 16
 	want := serialSketchBytes(t, path, chunk)
 
@@ -428,10 +475,8 @@ func TestShardedSketchExternalWorkers(t *testing.T) {
 // sketch, which reproduces the serial path's exact message).
 func TestSketchRunnerReportsBadData(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "bad.csv")
-	if err := os.WriteFile(path, []byte("a,b\n1,2\n3,NaN\n5,6\n7,8\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "bad.f64")
+	writeSpoolFile(t, path, mat.NewFromRows([][]float64{{1, 2}, {3, math.NaN()}, {5, 6}, {7, 8}}))
 	c, err := NewCoordinator(st, CoordinatorOptions{
 		Node: "coord", Workers: 1, Poll: 2 * time.Millisecond,
 		HeartbeatEvery: 20 * time.Millisecond, LeaseTTL: 2 * time.Second,

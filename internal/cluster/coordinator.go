@@ -176,17 +176,17 @@ func (c *Coordinator) AwaitFunc(ctx context.Context, ids []string, done func(i i
 	return results, nil
 }
 
-// ShardedSketch distributes the first-pass moment sketch of the CSV at
-// path: split into up to shards pieces at chunk boundaries, enqueue one
-// sketch task per piece (idempotent — a restarted coordinator recomputes
-// the same content-derived ids and finds its earlier done files), await
-// the per-chunk sketches, and merge them in global chunk order. The
-// result is bit-identical to stream.Accumulate over the serial chunk
-// partition; on ANY error callers should fall back to the serial sketch,
-// which either reproduces the result or surfaces the data error with the
-// serial path's exact message.
+// ShardedSketch distributes the first-pass moment sketch of the float64
+// spool at path: split into up to shards pieces at chunk boundaries,
+// enqueue one sketch task per piece (idempotent — a restarted
+// coordinator recomputes the same content-derived ids and finds its
+// earlier done files), await the per-chunk sketches, and merge them in
+// global chunk order. The result is bit-identical to stream.Accumulate
+// over the serial chunk partition; on ANY error callers should fall back
+// to the serial sketch, which either reproduces the result or surfaces
+// the data error with the serial path's exact message.
 func (c *Coordinator) ShardedSketch(ctx context.Context, path string, chunk, shards int) (*stream.Moments, error) {
-	digests, err := c.store.SplitCSVShards(path, chunk, shards)
+	digests, err := c.store.SplitSpoolShards(path, chunk, shards)
 	if err != nil {
 		return nil, err
 	}

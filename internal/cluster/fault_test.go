@@ -46,8 +46,8 @@ type sketchResult struct {
 // up and the merged sketch is still bit-identical to the serial one.
 func TestFaultKillWorkerMidShard(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.csv")
-	writeTestCSV(t, path, 240, 4, 11)
+	path := filepath.Join(t.TempDir(), "data.f64")
+	writeTestSpool(t, path, 240, 4, 11)
 	const chunk, shards = 8, 4
 	want := serialSketchBytes(t, path, chunk)
 
@@ -131,8 +131,8 @@ func TestFaultKillWorkerMidShard(t *testing.T) {
 // bytes.
 func TestFaultCorruptHeartbeat(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.csv")
-	writeTestCSV(t, path, 240, 4, 12)
+	path := filepath.Join(t.TempDir(), "data.f64")
+	writeTestSpool(t, path, 240, 4, 12)
 	const chunk, shards = 8, 4
 	want := serialSketchBytes(t, path, chunk)
 
@@ -234,8 +234,8 @@ func TestFaultCorruptHeartbeat(t *testing.T) {
 // exactly once across both incarnations.
 func TestFaultCoordinatorRestart(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.csv")
-	writeTestCSV(t, path, 320, 5, 13)
+	path := filepath.Join(t.TempDir(), "data.f64")
+	writeTestSpool(t, path, 320, 5, 13)
 	const chunk, shards = 8, 4
 	want := serialSketchBytes(t, path, chunk)
 
@@ -256,7 +256,7 @@ func TestFaultCoordinatorRestart(t *testing.T) {
 
 	// First incarnation: shard the file, enqueue only half the plan, and
 	// "crash" (drop the coordinator) once that half is done.
-	digests, err := st.SplitCSVShards(path, chunk, shards)
+	digests, err := st.SplitSpoolShards(path, chunk, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,46 +12,58 @@
 // chunk partition — the property TestMergePartitionBitIdentical in the
 // stream package pins directly.
 //
-// Shards are cut from the CSV at chunk-multiple row boundaries by raw
-// byte splitting (header bytes + a contiguous data byte range), so a
-// worker parses exactly the bytes the serial path parses. Raw splitting
-// is only valid when no field is quoted (a quoted field could embed a
-// newline); any '"' byte makes SplitCSVShards refuse, and callers fall
-// back to the local serial sketch — legal precisely because both paths
-// produce identical bytes.
+// Shards are cut from the disguised copy's float64 spool (see
+// dataset.SpoolWriter) at chunk-multiple row offsets. Spool rows have a
+// fixed width, so a cut is byte arithmetic, not a parse: a shard is the
+// spool header followed by a contiguous run of rows, and a worker reads
+// exactly the bits the serial path reads, whatever the column names or
+// values look like.
 
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
 	"randpriv/internal/dataset"
 	"randpriv/internal/stream"
 )
 
-// SplitCSVShards cuts the headered CSV at path into at most shards
-// pieces at chunk-multiple row boundaries, stores each piece in the CAS
-// (header replicated verbatim), and returns the shard digests in file
-// order. Fewer shards come back when the data has fewer chunks than
-// requested. An empty data section or any quoted field is an error —
-// callers fall back to the local serial sketch.
-func (s *Store) SplitCSVShards(path string, chunk, shards int) ([]string, error) {
+// SplitSpoolShards cuts the float64 spool at path into at most shards
+// pieces at chunk-multiple row offsets, stores each piece in the CAS as
+// a spool of its own (the header replicated), and returns the shard
+// digests in file order. Fewer shards come back when the data has fewer
+// chunks than requested. A spool with no rows, or whose data is not a
+// whole number of rows, is an error — callers fall back to the local
+// serial sketch.
+func (s *Store) SplitSpoolShards(path string, chunk, shards int) ([]string, error) {
 	if chunk < 1 {
 		return nil, fmt.Errorf("cluster: chunk size %d, want >= 1", chunk)
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d, want >= 1", shards)
 	}
-	header, rows, err := scanCSVRaw(path)
+	f, err := s.fs.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: open %s: %w", path, err)
 	}
+	defer f.Close()
+	cols, err := dataset.ReadSpoolHeader(f)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", path, err)
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: size %s: %w", path, err)
+	}
+	rowBytes := int64(cols) * 8
+	data := size - dataset.SpoolHeaderSize
+	if data%rowBytes != 0 {
+		return nil, fmt.Errorf("cluster: %s holds %d data bytes, not a whole number of %d-byte rows", path, data, rowBytes)
+	}
+	rows := data / rowBytes
 	if rows == 0 {
 		return nil, fmt.Errorf("cluster: %s has no data rows", path)
 	}
@@ -59,113 +71,30 @@ func (s *Store) SplitCSVShards(path string, chunk, shards int) ([]string, error)
 	chunksPerShard := (chunks + int64(shards) - 1) / int64(shards)
 	rowsPerShard := chunksPerShard * int64(chunk)
 
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: open %s: %w", path, err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	if _, err := io.CopyN(io.Discard, br, int64(len(header))); err != nil {
-		return nil, fmt.Errorf("cluster: reread %s: %w", path, err)
-	}
+	header := dataset.SpoolHeader(cols)
 	var digests []string
 	for start := int64(0); start < rows; start += rowsPerShard {
-		n := rowsPerShard
-		if start+n > rows {
-			n = rows - start
-		}
-		digest, err := s.putShard(header, br, n)
+		n := min(rowsPerShard, rows-start)
+		off := dataset.SpoolHeaderSize + start*rowBytes
+		digest, err := s.putReplayable(path, func(w io.Writer) error {
+			if _, err := f.Seek(off, io.SeekStart); err != nil {
+				return err
+			}
+			if _, err := w.Write(header); err != nil {
+				return err
+			}
+			k, err := io.Copy(w, io.LimitReader(f, n*rowBytes))
+			if err == nil && k != n*rowBytes {
+				err = fmt.Errorf("cluster: shard of %s ends %d bytes early", path, n*rowBytes-k)
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
 		digests = append(digests, digest)
 	}
 	return digests, nil
-}
-
-// scanCSVRaw reads the file once, returning the raw header line
-// (including its line terminator) and the number of data rows. It
-// refuses anything that would desynchronize raw lines from parsed
-// records: a '"' byte (a quoted field could embed newlines or commas)
-// and blank lines (encoding/csv skips them silently, so counting them
-// as rows would shift every shard boundary off the serial chunk
-// partition).
-func scanCSVRaw(path string) (header []byte, rows int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: open %s: %w", path, err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	header, err = br.ReadBytes('\n')
-	if err == io.EOF {
-		return nil, 0, nil // header only, no data rows
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: read header: %w", err)
-	}
-	if bytes.ContainsRune(header, '"') {
-		return nil, 0, fmt.Errorf("cluster: %s has quoted fields; raw shard splitting declined", path)
-	}
-	lineBytes := 0 // bytes in the current line
-	lineNonCR := 0 // ... of which are not '\r'
-	buf := make([]byte, 1<<16)
-	for {
-		n, err := br.Read(buf)
-		for _, b := range buf[:n] {
-			switch b {
-			case '"':
-				return nil, 0, fmt.Errorf("cluster: %s has quoted fields; raw shard splitting declined", path)
-			case '\n':
-				if lineNonCR == 0 {
-					return nil, 0, fmt.Errorf("cluster: %s has blank lines; raw shard splitting declined", path)
-				}
-				rows++
-				lineBytes, lineNonCR = 0, 0
-			case '\r':
-				lineBytes++
-			default:
-				lineBytes++
-				lineNonCR++
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("cluster: scan %s: %w", path, err)
-		}
-	}
-	switch {
-	case lineNonCR > 0:
-		rows++ // final line without a trailing newline
-	case lineBytes > 0:
-		// A trailing CR-only fragment: encoding/csv would treat it as
-		// data; raw counting cannot, so decline rather than diverge.
-		return nil, 0, fmt.Errorf("cluster: %s has a trailing blank fragment; raw shard splitting declined", path)
-	}
-	return header, rows, nil
-}
-
-// putShard copies the header plus the next n data lines from br into a
-// CAS blob and returns its digest.
-func (s *Store) putShard(header []byte, br *bufio.Reader, n int64) (string, error) {
-	var buf bytes.Buffer
-	buf.Write(header)
-	for i := int64(0); i < n; i++ {
-		line, err := br.ReadBytes('\n')
-		buf.Write(line)
-		if err == io.EOF {
-			if len(line) == 0 {
-				return "", fmt.Errorf("cluster: shard split ran out of rows")
-			}
-			break
-		}
-		if err != nil {
-			return "", fmt.Errorf("cluster: read shard rows: %w", err)
-		}
-	}
-	return s.PutBytes(buf.Bytes())
 }
 
 // Per-chunk sketch container: the result payload of one sketch task.
@@ -216,17 +145,17 @@ func decodeSketchContainer(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// SketchShardRunner is the TaskRunner for TaskSketch: scan the shard CSV
-// in task-sized chunks and return one fresh sketch per chunk. Chunks are
-// validated exactly as the serial accumulate validates them — a
-// non-finite value fails the task terminally, and the coordinator's
+// SketchShardRunner is the TaskRunner for TaskSketch: scan the shard
+// spool in task-sized chunks and return one fresh sketch per chunk.
+// Chunks are validated exactly as the serial accumulate validates them —
+// a non-finite value fails the task terminally, and the coordinator's
 // caller falls back to the serial path, which reproduces the serial
 // error verbatim.
 func SketchShardRunner(ctx context.Context, st *Store, t *Task) ([]byte, error) {
 	if t.ShardDigest == "" || !st.HasBlob(t.ShardDigest) {
 		return nil, fmt.Errorf("cluster: sketch task %s: shard blob %s missing", t.ID, t.ShardDigest)
 	}
-	src, err := dataset.OpenCSVChunks(st.CASPath(t.ShardDigest), t.Chunk)
+	src, err := dataset.OpenSpool(st.CASPath(t.ShardDigest), t.Chunk)
 	if err != nil {
 		return nil, err
 	}

@@ -246,24 +246,29 @@ func (s *Store) PutFile(path string) (string, error) {
 		return "", fmt.Errorf("cluster: open %s: %w", path, err)
 	}
 	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", fmt.Errorf("cluster: hash %s: %w", path, err)
-	}
-	digest := hex.EncodeToString(h.Sum(nil))
-	if s.HasBlob(digest) {
-		return digest, nil
-	}
-	// The write func re-seeks on entry so a retried attempt replays the
-	// source from the top instead of copying a suffix.
-	err = s.writeAtomic(s.CASPath(digest), func(w io.Writer) error {
+	return s.putReplayable(path, func(w io.Writer) error {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return err
 		}
 		_, err := io.Copy(w, f)
 		return err
 	})
-	if err != nil {
+}
+
+// putReplayable stores the bytes write produces into the CAS under their
+// digest. write runs once to hash and again for each commit attempt, so
+// it must replay its source from the top every time (re-seek, never
+// continue). name labels errors.
+func (s *Store) putReplayable(name string, write func(io.Writer) error) (string, error) {
+	h := sha256.New()
+	if err := write(h); err != nil {
+		return "", fmt.Errorf("cluster: hash %s: %w", name, err)
+	}
+	digest := hex.EncodeToString(h.Sum(nil))
+	if s.HasBlob(digest) {
+		return digest, nil
+	}
+	if err := s.writeAtomic(s.CASPath(digest), write); err != nil {
 		return "", err
 	}
 	return digest, nil
@@ -271,19 +276,10 @@ func (s *Store) PutFile(path string) (string, error) {
 
 // PutBytes stores b into the CAS and returns its hex SHA-256 digest.
 func (s *Store) PutBytes(b []byte) (string, error) {
-	sum := sha256.Sum256(b)
-	digest := hex.EncodeToString(sum[:])
-	if s.HasBlob(digest) {
-		return digest, nil
-	}
-	err := s.writeAtomic(s.CASPath(digest), func(w io.Writer) error {
+	return s.putReplayable("blob", func(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
 	})
-	if err != nil {
-		return "", err
-	}
-	return digest, nil
 }
 
 // resultPath maps an arbitrary cache key onto its file: the key is

@@ -21,7 +21,7 @@ import (
 
 // Task kinds.
 const (
-	// TaskSketch builds the per-chunk moment sketches of one CSV shard.
+	// TaskSketch builds the per-chunk moment sketches of one spool shard.
 	TaskSketch = "sketch"
 	// TaskAssess runs one full assessment (the server registers its
 	// runner; the cluster package only routes it).

@@ -16,7 +16,8 @@ import (
 // matching rows from the reference stream and accumulates squared errors.
 // Chunk boundaries need not line up — a row cursor tracks the partially
 // consumed reference chunk (the reference chunk is copied, because
-// sources may reuse their buffers).
+// sources may reuse their buffers; the copy reuses one buffer while the
+// chunk shape holds, so a pass allocates per shape, not per chunk).
 type diffSink struct {
 	ref     stream.Source
 	refBuf  *mat.Dense // current (copied) reference chunk
@@ -73,7 +74,11 @@ func (d *diffSink) nextRefRow(m int) ([]float64, error) {
 		if chunk.Cols() != m {
 			return nil, fmt.Errorf("core: original data has %d columns, reconstruction has %d", chunk.Cols(), m)
 		}
-		d.refBuf = chunk.Clone()
+		if d.refBuf != nil && d.refBuf.Rows() == chunk.Rows() {
+			copy(d.refBuf.Raw(), chunk.Raw())
+		} else {
+			d.refBuf = chunk.Clone()
+		}
 		d.refPos = 0
 	}
 	row := d.refBuf.RawRow(d.refPos)

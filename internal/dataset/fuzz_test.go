@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,9 @@ func FuzzReadCSV(f *testing.F) {
 // checks it agrees with ReadCSV: both accept (with identical decoded
 // shape) or both reject. The chunked path is what the server trusts with
 // raw uploads, so it must be exactly as strict as the in-memory one.
+// Every accepted CSV must also survive the float64 spool the server
+// writes during validation: read back at the same chunk size, the spool
+// yields the same chunk partition and the same bits.
 func FuzzChunkSource(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n3,4\n5,6\n"), 2)
 	f.Add([]byte("a,b\n1,2\n3\n"), 1)
@@ -92,6 +96,10 @@ func FuzzChunkSource(f *testing.F) {
 			return
 		}
 		defer src.Close()
+		var spool bytes.Buffer
+		sw, swErr := NewSpoolWriter(&spool, len(src.Names()))
+		var sizes []int
+		var vals []float64
 		var rows int
 		var chunkErr error
 		for {
@@ -104,13 +112,53 @@ func FuzzChunkSource(f *testing.F) {
 				break
 			}
 			rows += chunk.Rows()
+			sizes = append(sizes, chunk.Rows())
+			vals = append(vals, chunk.Raw()...)
+			if swErr == nil {
+				swErr = sw.Append(chunk)
+			}
 		}
 		if (chunkErr == nil) != (memErr == nil) {
 			t.Fatalf("chunked err %v vs in-memory err %v for %q", chunkErr, memErr, data)
 		}
-		if memErr == nil {
-			if n, _ := tbl.Dims(); n != rows {
-				t.Fatalf("chunked decoded %d rows, in-memory %d", rows, n)
+		if memErr != nil {
+			return
+		}
+		if n, _ := tbl.Dims(); n != rows {
+			t.Fatalf("chunked decoded %d rows, in-memory %d", rows, n)
+		}
+		if swErr == nil {
+			swErr = sw.Flush()
+		}
+		if swErr != nil {
+			t.Fatalf("spooling an accepted CSV: %v", swErr)
+		}
+		back, err := ReadSpool(func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(spool.Bytes())), nil
+		}, chunkRows)
+		if err != nil {
+			t.Fatalf("reopening the spool: %v", err)
+		}
+		var k int
+		for i := 0; ; i++ {
+			chunk, err := back.Next()
+			if err == io.EOF {
+				if i != len(sizes) {
+					t.Fatalf("spool yielded %d chunks, CSV %d", i, len(sizes))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("spool chunk %d: %v", i, err)
+			}
+			if i >= len(sizes) || chunk.Rows() != sizes[i] {
+				t.Fatalf("spool chunk %d has %d rows, CSV partition %v", i, chunk.Rows(), sizes)
+			}
+			for _, v := range chunk.Raw() {
+				if math.Float64bits(v) != math.Float64bits(vals[k]) {
+					t.Fatalf("spool value %d has bits %x, CSV decoded %x", k, math.Float64bits(v), math.Float64bits(vals[k]))
+				}
+				k++
 			}
 		}
 	})

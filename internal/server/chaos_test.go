@@ -8,7 +8,10 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
+	"os"
 	"strconv"
 	"testing"
 	"time"
@@ -177,5 +180,66 @@ func TestChaosSpoolWriteFaultCleanError(t *testing.T) {
 	}
 	if inj.Faults() < 1 {
 		t.Fatal("the spool schedule never fired; the test exercised nothing")
+	}
+}
+
+// TestChaosFloat64SpoolFaults replays seeded schedules against the two
+// float64 spools an assessment writes after its one CSV decode (the
+// validated upload and the disguised copy): ENOSPC on a spool write, EIO
+// on a spool re-read. Either fault is the server's storage failing, not
+// the client's input, so each must end in the JSON error envelope with
+// a 5xx status — never a 400, never a 200 built from a partial read —
+// and must leave no spool file behind in the spool dir.
+func TestChaosFloat64SpoolFaults(t *testing.T) {
+	in := testCSV(t, 200, 3, 1, 4)
+	// A pass re-reads a spool in a header read plus one read per 32-row
+	// chunk and one at EOF: 9 reads. The memory battery makes 3 spool
+	// passes (perturb, collect both copies), the streamed one 9 (perturb,
+	// the NDR baseline, three per attack), so a read fault can land
+	// anywhere up to the last attack's last read.
+	modes := []struct {
+		query string
+		reads int
+	}{
+		{"?sigma=5&seed=2&chunk=32", 3 * 9},
+		{"?sigma=5&seed=2&chunk=32&stream=1", 9 * 9},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mode := modes[rng.Intn(len(modes))]
+		query := mode.query
+		rules := map[string]faultfs.Rule{
+			// Each spool takes a header write and one flushed data write.
+			"ENOSPC write": {Op: faultfs.OpWrite, Path: ".f64", After: rng.Intn(4), Err: faultfs.ErrNoSpace},
+			"EIO read":     {Op: faultfs.OpRead, Path: ".f64", After: rng.Intn(mode.reads), Err: faultfs.ErrIO},
+		}
+		for name, rule := range rules {
+			t.Run(fmt.Sprintf("seed%d/%s/after%d", seed, name, rule.After), func(t *testing.T) {
+				inj := faultfs.NewInjector(nil, rule)
+				spoolDir := t.TempDir()
+				_, ts := newTestServer(t, Config{FS: inj, SpoolDir: spoolDir, CacheEntries: -1})
+				status, _, out := post(t, ts, "/v1/assess"+query, in)
+				if inj.Faults() < 1 {
+					t.Fatalf("the schedule never fired (status %d); the test exercised nothing", status)
+				}
+				if status < 500 {
+					t.Fatalf("%s: status %d (body %s), want a 5xx", query, status, out)
+				}
+				var env struct {
+					Error string `json:"error"`
+					Code  string `json:"code"`
+				}
+				if err := json.Unmarshal(out, &env); err != nil || env.Error == "" || env.Code == "" {
+					t.Fatalf("fault response body = %q (%v), want the JSON error envelope", out, err)
+				}
+				left, err := os.ReadDir(spoolDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range left {
+					t.Errorf("spool file %s left behind", e.Name())
+				}
+			})
+		}
 	}
 }

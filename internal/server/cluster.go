@@ -18,10 +18,11 @@
 //     order. The full-grid body is byte-identical to single-process
 //     execution because both paths run the same sweep.GroupExec.
 //   - Large streamed assessments shard across the cluster twice: the
-//     disguised-copy moment sketch through ShardedSketch (pass 1), and
-//     the scoring pass through one score task per battery attack
-//     (pass 2). Both merges are bit-identical to the serial computation
-//     by construction, so these are purely accelerators.
+//     disguised copy's float64 spool is cut at chunk-multiple row offsets
+//     for the moment sketch through ShardedSketch (pass 1), and the
+//     scoring pass runs as one score task per battery attack (pass 2).
+//     Both merges are bit-identical to the serial computation by
+//     construction, so these are purely accelerators.
 //   - GET /v1/status grows a cluster section with per-node heartbeat
 //     gauges and the task-queue depths, per task kind.
 //
@@ -406,10 +407,11 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 }
 
 // clusterSketch builds the core.SketchFn for a streamed assessment's
-// shared pass 1: shard the disguised spool across alive workers, fall
-// back to the serial sketch on any error. Both branches are bit-identical
-// to recon.SketchSource over the same chunk partition, so the report
-// bytes cannot depend on which one ran.
+// shared pass 1: shard the disguised float64 spool at path across alive
+// workers, fall back to the serial sketch over disg (a source over the
+// same spool) on any error. Both branches are bit-identical to
+// recon.SketchSource over the same chunk partition, so the report bytes
+// cannot depend on which one ran.
 //
 // The sharded attempt is deadline-bounded by ClusterDelegateTimeout and
 // gated by the delegation breaker: a cluster losing its workers mid-pass
@@ -417,15 +419,8 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 // goes serial immediately until the cooldown expires. Every sharding
 // error feeds the breaker — unlike job delegation there is no ambiguity,
 // because the serial path computes the identical moments either way.
-func (s *Server) clusterSketch(ctx context.Context, path string, chunk int) core.SketchFn {
-	serial := func() (*stream.Moments, error) {
-		src, err := dataset.OpenCSVChunks(path, chunk)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		return recon.SketchSource(src)
-	}
+func (s *Server) clusterSketch(ctx context.Context, disg stream.Source, path string, chunk int) core.SketchFn {
+	serial := func() (*stream.Moments, error) { return recon.SketchSource(disg) }
 	return func() (*stream.Moments, error) {
 		now := time.Now().UTC()
 		if !s.breaker.Allow(now) {
@@ -456,10 +451,11 @@ func (s *Server) clusterSketch(ctx context.Context, path string, chunk int) core
 // scoreSpec is the wire form of one delegated scoring work unit: one
 // attack of a streamed assessment's second pass, against the
 // content-addressed (original, disguised) pair. The task digest is the
-// original upload's; the disguised spool travels by its own digest. The
-// NDR baseline is computed once on the coordinator and shipped in the
-// spec — float64 round-trips exactly through encoding/json, so the
-// worker's report fragment is bit-identical to one computed in-process.
+// original CSV upload's; the disguised copy travels as a float64 spool
+// under its own digest. The NDR baseline is computed once on the
+// coordinator and shipped in the spec — float64 round-trips exactly
+// through encoding/json, so the worker's report fragment is
+// bit-identical to one computed in-process.
 // Params carries Attacks=[Attack] (normalized), so the same (attack,
 // data) unit deduplicates across requests with different batteries.
 type scoreSpec struct {
@@ -507,7 +503,7 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 			return nil, err
 		}
 		defer orig.Close()
-		disg, err := dataset.OpenCSVChunks(st.CASPath(sc.DisgDigest), sc.Params.Chunk)
+		disg, err := dataset.OpenSpool(st.CASPath(sc.DisgDigest), sc.Params.Chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -535,10 +531,13 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 		if err != nil {
 			return nil, err
 		}
-		// A canceled context is absorbed into the attack's error field;
-		// that must fail the task (it restarts elsewhere), not masquerade
-		// as a deterministic attack failure.
+		// A canceled context or a failed spool read is absorbed into the
+		// attack's error field; that must fail the task (it restarts
+		// elsewhere), not masquerade as a deterministic attack failure.
 		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := disg.Err(); err != nil {
 			return nil, err
 		}
 		if len(rep.Results) != 1 {
@@ -561,10 +560,13 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 // response bytes cannot depend on task completion order. ok == false
 // means the caller must score serially (single-attack battery, breaker
 // open, or any infrastructure failure); both paths are byte-identical,
-// so falling back costs latency, never correctness.
-func (s *Server) clusterScore(ctx context.Context, origPath, disgPath string, bd core.BuiltDefense, p requestParams) (*core.PrivacyReport, bool) {
+// so falling back costs latency, never correctness. origCSV is the
+// original upload as the client sent it; orig and disg are the sources
+// the serial path would scan, which the NDR baseline is computed from
+// here, once.
+func (s *Server) clusterScore(ctx context.Context, origCSV string, orig, disg stream.Source, disgPath string, bd core.BuiltDefense, p requestParams) (*core.PrivacyReport, bool) {
 	modes := sweep.AttackModes(sweepParams(p), bd.Noise)
-	if len(modes) < 2 || origPath == "" {
+	if len(modes) < 2 || origCSV == "" {
 		return nil, false // nothing to fan out, or a reader-backed upload the CAS cannot adopt
 	}
 	now := time.Now().UTC()
@@ -573,7 +575,7 @@ func (s *Server) clusterScore(ctx context.Context, origPath, disgPath string, bd
 	}
 	sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
 	defer cancel()
-	rep, err := s.clusterScoreAttempt(sctx, origPath, disgPath, bd, p, modes)
+	rep, err := s.clusterScoreAttempt(sctx, origCSV, orig, disg, disgPath, bd, p, modes)
 	if err == nil {
 		s.breaker.Success()
 		return rep, true
@@ -587,9 +589,9 @@ func (s *Server) clusterScore(ctx context.Context, origPath, disgPath string, bd
 	return nil, false
 }
 
-func (s *Server) clusterScoreAttempt(ctx context.Context, origPath, disgPath string, bd core.BuiltDefense, p requestParams, modes []string) (*core.PrivacyReport, error) {
+func (s *Server) clusterScoreAttempt(ctx context.Context, origCSV string, orig, disg stream.Source, disgPath string, bd core.BuiltDefense, p requestParams, modes []string) (*core.PrivacyReport, error) {
 	st := s.cluster.Store()
-	origDigest, err := st.PutFile(origPath)
+	origDigest, err := st.PutFile(origCSV)
 	if err != nil {
 		return nil, err
 	}
@@ -599,16 +601,6 @@ func (s *Server) clusterScoreAttempt(ctx context.Context, origPath, disgPath str
 	}
 	// The baseline pass runs here, once — the same two streams the serial
 	// evaluator would scan, so the shipped float is the identical value.
-	orig, err := dataset.OpenCSVChunks(origPath, p.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	defer orig.Close()
-	disg, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	defer disg.Close()
 	baseline, err := core.StreamNDRBaseline(
 		stream.ContextSource{Ctx: ctx, Src: orig},
 		stream.ContextSource{Ctx: ctx, Src: disg})

@@ -249,3 +249,71 @@ func TestStatusGaugeStorm(t *testing.T) {
 	close(stop)
 	<-readerDone
 }
+
+// TestClusterQuotedHeaderKeepsBreakerClosed: attribute names may hold
+// commas and quotes (the CSV quotes them). The sharded sketch cuts the
+// disguised float64 spool at row offsets, so no spelling of the header
+// can make it decline: the cluster path runs, the bytes equal the
+// single-process response, and the delegation breaker stays closed.
+func TestClusterQuotedHeaderKeepsBreakerClosed(t *testing.T) {
+	raw := testCSV(t, 240, 4, 2, 9)
+	in := append([]byte(`"a,0",b1,b2,b3`), raw[bytes.IndexByte(raw, '\n'):]...)
+	_, plain := newTestServer(t, Config{})
+	_, ts := newTestServer(t, clusterConfig(t, 1))
+	for seed := 1; seed <= 3; seed++ {
+		q := fmt.Sprintf("/v1/assess?stream=1&attacks=pcadr&chunk=32&sigma=5&seed=%d", seed)
+		wantStatus, _, want := post(t, plain, q, in)
+		if wantStatus != http.StatusOK {
+			t.Fatalf("single-process %s: status %d, body %s", q, wantStatus, want)
+		}
+		status, _, got := post(t, ts, q, in)
+		if status != http.StatusOK {
+			t.Fatalf("cluster %s: status %d, body %s", q, status, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("cluster %s differs from the single-process response", q)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Cluster *struct {
+			Degraded     bool  `json:"degraded"`
+			BreakerTrips int64 `json:"breaker_trips"`
+			TasksByKind  map[string]struct {
+				Done int `json:"done"`
+			} `json:"tasks_by_kind"`
+		} `json:"cluster"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cluster == nil {
+		t.Fatal("/v1/status has no cluster section")
+	}
+	if st.Cluster.BreakerTrips != 0 || st.Cluster.Degraded {
+		t.Errorf("breaker_trips = %d, degraded = %v; want 0 and false", st.Cluster.BreakerTrips, st.Cluster.Degraded)
+	}
+	if st.Cluster.TasksByKind["sketch"].Done == 0 {
+		t.Error("no sketch task ran: the sharded sketch path was not exercised")
+	}
+
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	var h struct {
+		Degraded bool `json:"degraded"`
+	}
+	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Degraded {
+		t.Error("/healthz reports degraded after quoted-header assessments")
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -275,31 +274,63 @@ func (s *Server) spoolAndOpen(r *http.Request, chunk int) (*upload, *dataset.Chu
 	return up, src, nil
 }
 
-// validateUpload runs the fail-fast pass: it streams every chunk once so
-// malformed CSV surfaces as a clean 400 before any response bytes are
-// written, and returns the data set shape. Empty data sets are rejected
-// here for the same reason — every downstream consumer would.
-func validateUpload(src stream.Source, cols int) (rows int64, err error) {
-	if err := src.Reset(); err != nil {
-		return 0, err
-	}
-	for {
-		chunk, err := src.Next()
-		if err == io.EOF {
-			break
+// validated is an upload after its validation pass: the float64 spool
+// of its rows and a chunked source over that spool, in the request's
+// chunk partition. Close releases both.
+type validated struct {
+	spool *f64Spool
+	src   *dataset.SpoolSource
+	rows  int64
+}
+
+func (v *validated) Close() {
+	v.src.Close()
+	v.spool.Remove()
+}
+
+// validateUpload runs the fail-fast pass, the only CSV decode an upload
+// gets: it streams every chunk once so malformed CSV surfaces as a clean
+// 400 before any response bytes are written, and writes the rows into a
+// float64 spool that every later pass reads instead. Empty data sets are
+// rejected here for the same reason — every downstream consumer would.
+// A spool that cannot be written or reopened is a storage fault and
+// keeps its 5xx status.
+func (s *Server) validateUpload(src stream.Source, cols, chunk int) (*validated, error) {
+	var rows int64
+	sp, err := writeSpool(s.fs, s.cfg.SpoolDir, "randprivd-*.f64", cols, func(sink stream.Sink) error {
+		if err := src.Reset(); err != nil {
+			return err
 		}
-		if err != nil {
-			return 0, badRequest(err)
+		for {
+			chunk, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return badRequest(err)
+			}
+			if err := stream.ValidateChunk(chunk, rows); err != nil {
+				return badRequest(err)
+			}
+			if err := sink.Append(chunk); err != nil {
+				return err
+			}
+			rows += int64(chunk.Rows())
 		}
-		if err := stream.ValidateChunk(chunk, rows); err != nil {
-			return 0, badRequest(err)
+		if rows == 0 {
+			return badRequest(fmt.Errorf("server: empty data set (%d rows, %d columns)", rows, cols))
 		}
-		rows += int64(chunk.Rows())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if rows == 0 || cols == 0 {
-		return 0, badRequest(fmt.Errorf("server: empty data set (%d rows, %d columns)", rows, cols))
+	spSrc, err := sp.open(chunk)
+	if err != nil {
+		sp.Remove()
+		return nil, err
 	}
-	return rows, nil
+	return &validated{spool: sp, src: spSrc, rows: rows}, nil
 }
 
 // buildDefense constructs the requested defense through the sweep
@@ -360,10 +391,12 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) error {
 	defer up.Remove()
 	defer src.Close()
 	return s.pool.Do(r.Context(), func(_ *mat.Workspace) error {
-		cs := stream.ContextSource{Ctx: r.Context(), Src: src}
-		if _, err := validateUpload(cs, len(src.Names())); err != nil {
+		v, err := s.validateUpload(stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()), p.Chunk)
+		if err != nil {
 			return err
 		}
+		defer v.Close()
+		cs := stream.ContextSource{Ctx: r.Context(), Src: v.src}
 		bd, err := buildDefense(p, cs)
 		if err != nil {
 			return err
@@ -431,10 +464,12 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) error {
 	defer up.Remove()
 	defer src.Close()
 	return s.pool.Do(r.Context(), func(ws *mat.Workspace) error {
-		cs := stream.ContextSource{Ctx: r.Context(), Src: src}
-		if _, err := validateUpload(cs, len(src.Names())); err != nil {
+		v, err := s.validateUpload(stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()), p.Chunk)
+		if err != nil {
 			return err
 		}
+		defer v.Close()
+		cs := stream.ContextSource{Ctx: r.Context(), Src: v.src}
 		attack, err := buildAttack(p, cs, ws)
 		if err != nil {
 			return err
@@ -575,15 +610,15 @@ func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p 
 		}}
 	}
 	names := src.Names()
-	orig := wrap(src)
-	rows, err := validateUpload(orig, len(names))
+	v, err := s.validateUpload(wrap(src), len(names), p.Chunk)
 	if err != nil {
 		return nil, err
 	}
+	defer v.Close()
 	chunk := int64(p.Chunk)
-	total = (rows + chunk - 1) / chunk * passesFor(p)
+	total = (v.rows + chunk - 1) / chunk * passesFor(p)
 	note()
-	rep, utilities, err := s.assess(ctx, orig, src.Path(), names, p, ws, wrap, shardable && progress == nil)
+	rep, utilities, err := s.assess(ctx, v.src, src.Path(), p, ws, wrap, shardable && progress == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -596,51 +631,55 @@ func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return sweep.MarshalReport(rep, utilities, sweepParams(p), rows, len(names), digest)
+	return sweep.MarshalReport(rep, utilities, sweepParams(p), v.rows, len(names), digest)
 }
 
-// assess perturbs the validated original stream into a spool file and
-// runs the attack battery against it, in the requested mode. wrap
-// decorates every additional source the battery opens (the disguised
-// spool) with the caller's cancellation and progress accounting.
-// origPath is the original upload's backing file ("" for reader-backed
-// sources) — the handle a shardable streamed assessment uses to put the
-// original into the cluster's content-addressed store.
-func (s *Server) assess(ctx context.Context, orig stream.Source, origPath string, names []string, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, shardable bool) (*core.PrivacyReport, []core.UtilityResult, error) {
-	bd, err := buildDefense(p, orig)
+// assess perturbs the validated original into a disguised float64 spool
+// and runs the attack battery against it, in the requested mode. wrap
+// decorates every source the battery reads with the caller's
+// cancellation and progress accounting. origCSV is the original upload's
+// backing CSV file ("" for reader-backed sources) — the handle a
+// shardable streamed assessment uses to put the original into the
+// cluster's content-addressed store.
+func (s *Server) assess(ctx context.Context, orig *dataset.SpoolSource, origCSV string, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, shardable bool) (*core.PrivacyReport, []core.UtilityResult, error) {
+	origSrc := wrap(orig)
+	bd, err := buildDefense(p, origSrc)
 	if err != nil {
 		return nil, nil, err
 	}
+	disgSpool, err := writeSpool(s.fs, s.cfg.SpoolDir, "randprivd-disg-*.f64", orig.Cols(), func(sink stream.Sink) error {
+		return sweep.Perturb(bd, p.Seed, origSrc, sink)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer disgSpool.Remove()
+	disg, err := disgSpool.open(p.Chunk)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer disg.Close()
 
-	// Disguise into a second spool file so the attacks can re-read it.
-	disgFile, err := os.CreateTemp(s.cfg.SpoolDir, "randprivd-disg-*.csv")
-	if err != nil {
-		return nil, nil, err
-	}
-	disgPath := disgFile.Name()
-	defer os.Remove(disgPath)
-	cw, err := dataset.NewChunkWriter(disgFile, names)
-	if err != nil {
-		disgFile.Close()
-		return nil, nil, err
-	}
-	if err := bd.Scheme.PerturbStream(orig, cw, requestRNG(p.Seed)); err != nil {
-		disgFile.Close()
-		return nil, nil, err
-	}
-	if err := cw.Flush(); err != nil {
-		disgFile.Close()
-		return nil, nil, err
-	}
-	if err := disgFile.Close(); err != nil {
-		return nil, nil, err
-	}
-
+	var rep *core.PrivacyReport
+	var utilities []core.UtilityResult
 	if p.Stream {
-		rep, err := s.assessStream(ctx, orig, origPath, disgPath, bd, p, ws, wrap, shardable)
-		return rep, nil, err
+		rep, err = s.assessStream(ctx, origSrc, wrap(disg), origCSV, disgSpool, bd, p, ws, shardable)
+	} else {
+		rep, utilities, err = s.assessMemory(ctx, origSrc, wrap(disg), bd, p, ws)
 	}
-	return s.assessMemory(ctx, orig, disgPath, bd, p, ws, wrap)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The battery files a failed read under the attack that made it. A
+	// spool read that failed is a storage fault, not an attack outcome:
+	// the report must be neither served nor cached.
+	if err := orig.Err(); err != nil {
+		return nil, nil, err
+	}
+	if err := disg.Err(); err != nil {
+		return nil, nil, err
+	}
+	return rep, utilities, nil
 }
 
 // assessStream runs the out-of-core battery through the sweep engine:
@@ -656,27 +695,22 @@ func (s *Server) assess(ctx context.Context, orig stream.Source, origPath string
 // result ordering. That too is byte-identical to the serial battery by
 // construction, and any failure falls through to the serial path (with
 // at most a sharded sketch).
-func (s *Server) assessStream(ctx context.Context, orig stream.Source, origPath, disgPath string, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, shardable bool) (*core.PrivacyReport, error) {
-	disgSrc, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	defer disgSrc.Close()
+func (s *Server) assessStream(ctx context.Context, orig, disg stream.Source, origCSV string, disgSpool *f64Spool, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, shardable bool) (*core.PrivacyReport, error) {
 	var sketch core.SketchFn
 	if shardable && s.cluster != nil {
-		if rep, ok := s.clusterScore(ctx, origPath, disgPath, bd, p); ok {
+		if rep, ok := s.clusterScore(ctx, origCSV, orig, disg, disgSpool.path, bd, p); ok {
 			return rep, nil
 		}
-		sketch = s.clusterSketch(ctx, disgPath, p.Chunk)
+		sketch = s.clusterSketch(ctx, disg, disgSpool.path, p.Chunk)
 	}
 	env := sweep.Env{Reg: defaultRegistry, WS: ws}
-	return env.EvaluateStreamPoint(sweepParams(p), orig, wrap(disgSrc), bd, nil, sketch)
+	return env.EvaluateStreamPoint(sweepParams(p), orig, disg, bd, nil, sketch)
 }
 
 // assessMemory loads both copies, runs the selected battery (including
 // the attacks that need resident data), then prices the defense with the
 // requested utility probes on the same resident pair.
-func (s *Server) assessMemory(ctx context.Context, orig stream.Source, disgPath string, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source) (*core.PrivacyReport, []core.UtilityResult, error) {
+func (s *Server) assessMemory(ctx context.Context, orig, disg stream.Source, bd core.BuiltDefense, p requestParams, ws *mat.Workspace) (*core.PrivacyReport, []core.UtilityResult, error) {
 	collect := func(src stream.Source) (*mat.Dense, error) {
 		if err := src.Reset(); err != nil {
 			return nil, err
@@ -699,12 +733,7 @@ func (s *Server) assessMemory(ctx context.Context, orig stream.Source, disgPath 
 	if err != nil {
 		return nil, nil, err
 	}
-	disgSrc, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer disgSrc.Close()
-	disgData, err := collect(wrap(disgSrc))
+	disgData, err := collect(disg)
 	if err != nil {
 		return nil, nil, err
 	}

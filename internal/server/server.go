@@ -10,8 +10,9 @@
 //
 // Three mechanisms make it a service rather than a CLI in a loop:
 //
-//   - Out-of-core data plane: bodies are spooled to disk and every pass
-//     runs through dataset.ChunkSource in fixed-size chunks, so memory is
+//   - Out-of-core data plane: bodies are spooled to disk, decoded from
+//     CSV once by the validation pass into a float64 spool, and every
+//     later pass reads that spool in fixed-size chunks, so memory is
 //     O(chunk + m²) no matter how large the upload is.
 //   - Bounded worker pool: compute runs on Workers goroutines behind a
 //     QueueDepth-deep queue with per-request deadlines; overload returns

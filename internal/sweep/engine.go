@@ -3,8 +3,11 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 
 	"randpriv/internal/core"
 	"randpriv/internal/experiment"
@@ -69,6 +72,40 @@ func (e Env) BuildDefense(p Params, dataCov func() (*mat.Dense, error)) (core.Bu
 		return core.BuiltDefense{}, paramErr(err)
 	}
 	return bd, nil
+}
+
+// Perturb disguises src into sink with the point's defense and seeded
+// RNG. Every disguised chunk is checked before sink sees it: a noise
+// scale near MaxFloat64 overflows to ±Inf, which no attack, baseline or
+// report can use, so a non-finite disguised value is a parameter
+// rejection (*ParamError) — the same one on the standalone path and
+// mid-sweep. Other failures (I/O, cancellation) pass through.
+func Perturb(bd core.BuiltDefense, seed int64, src stream.Source, sink stream.Sink) error {
+	err := bd.Scheme.PerturbStream(src, &finiteSink{sink: sink}, PointRNG(seed))
+	var pe *ParamError
+	if errors.As(err, &pe) {
+		return pe // unwrapped, so every path reports the same message
+	}
+	return err
+}
+
+// finiteSink passes chunks on to sink after checking every value is
+// finite.
+type finiteSink struct {
+	sink stream.Sink
+	rows int64
+}
+
+func (f *finiteSink) Append(chunk *mat.Dense) error {
+	if err := stream.ValidateChunk(chunk, f.rows); err != nil {
+		var nf *stream.NonFiniteError
+		if errors.As(err, &nf) {
+			return paramErr(fmt.Errorf("sweep: the defense overflows float64: disguised value %v at row %d, col %d", nf.Val, nf.Row, nf.Col))
+		}
+		return err
+	}
+	f.rows += int64(chunk.Rows())
+	return f.sink.Append(chunk)
 }
 
 // EvaluateStreamPoint runs one point's out-of-core battery. When ndr is
@@ -191,13 +228,58 @@ func BuildReport(rep *core.PrivacyReport, utilities []core.UtilityResult, p Para
 	return out
 }
 
+// checkFinite rejects a report holding a NaN or ±Inf, naming the first
+// such value in body order. JSON has no spelling for them, and from
+// validated finite data only parameters that overflow float64 arithmetic
+// produce one, so the rejection is a *ParamError.
+func (r ReportJSON) checkFinite() error {
+	bad := func(field string, v float64) error {
+		return paramErr(fmt.Errorf("sweep: report value %s is %v: the parameters overflow float64", field, v))
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(r.NDRBaseline) {
+		return bad("ndr_baseline_rmse", r.NDRBaseline)
+	}
+	for _, a := range r.Results {
+		if !finite(a.RMSE) {
+			return bad(fmt.Sprintf("results[%s].rmse", a.Attack), a.RMSE)
+		}
+		for j, v := range a.ColumnRMSE {
+			if !finite(v) {
+				return bad(fmt.Sprintf("results[%s].column_rmse[%d]", a.Attack, j), v)
+			}
+		}
+		if !finite(a.GainVsNDR) {
+			return bad(fmt.Sprintf("results[%s].gain_vs_ndr", a.Attack), a.GainVsNDR)
+		}
+	}
+	for _, u := range r.Utility {
+		keys := make([]string, 0, len(u.Metrics))
+		for k := range u.Metrics {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if v := u.Metrics[k]; !finite(v) {
+				return bad(fmt.Sprintf("utility[%s].metrics.%s", u.Probe, k), v)
+			}
+		}
+	}
+	return nil
+}
+
 // MarshalReport renders a point's report to its canonical wire form: the
 // JSON body plus the trailing newline /v1/assess has always written. The
 // sweep executor stores exactly these bytes in the shared result cache,
 // so a sweep point and a standalone request populate (and are served by)
-// the same entries.
+// the same entries. A report holding a non-finite number is a
+// *ParamError (see checkFinite).
 func MarshalReport(rep *core.PrivacyReport, utilities []core.UtilityResult, p Params, rows int64, cols int, digest string) ([]byte, error) {
-	body, err := json.Marshal(BuildReport(rep, utilities, p, rows, cols, digest))
+	out := BuildReport(rep, utilities, p, rows, cols, digest)
+	if err := out.checkFinite(); err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(out)
 	if err != nil {
 		return nil, err
 	}

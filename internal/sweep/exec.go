@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -195,24 +194,27 @@ func (g *GroupExec) origCov() (*mat.Dense, error) {
 // an error, exactly as they would abort a standalone request.
 func (g *GroupExec) Run(ctx context.Context, key string, pts []Params) ([]GroupOutcome, error) {
 	out := make([]GroupOutcome, len(pts))
+	// rejectAll records a group-wide parameter rejection — a calibration
+	// the registry refuses, or a defense that overflows float64 — on
+	// every point, the way each standalone request would 400.
+	rejectAll := func(err error) ([]GroupOutcome, error) {
+		if !isParamError(err) {
+			return nil, err
+		}
+		for i := range out {
+			out[i].Err = err.Error()
+		}
+		return out, nil
+	}
 	groupParams := pts[0]
 	bd, err := g.env.BuildDefense(groupParams, g.origCov)
 	if err != nil {
-		var pe *ParamError
-		if errors.As(err, &pe) {
-			// A calibration the registry rejects fails every point in
-			// the group the way a standalone request would 400.
-			for i := range out {
-				out[i].Err = err.Error()
-			}
-			return out, nil
-		}
-		return nil, err
+		return rejectAll(err)
 	}
 
 	var disg stream.Collector
-	if err := bd.Scheme.PerturbStream(g.origSrc(), &disg, PointRNG(groupParams.Seed)); err != nil {
-		return nil, err
+	if err := Perturb(bd, groupParams.Seed, g.origSrc(), &disg); err != nil {
+		return rejectAll(err)
 	}
 	disgSrc := func() stream.Source { return g.wrap(stream.NewMatrixSource(disg.Data, g.chunk)) }
 
@@ -231,35 +233,40 @@ func (g *GroupExec) Run(ctx context.Context, key string, pts []Params) ([]GroupO
 	}
 
 	for i, p := range pts {
-		var rep *core.PrivacyReport
-		var utilities []core.UtilityResult
-		if g.stream {
-			rep, err = g.env.EvaluateStreamPoint(p, g.origSrc(), disgSrc(), bd, &ndr, sketch)
-		} else {
-			rep, utilities, err = g.env.EvaluateMemoryPoint(ctx, p, g.origData, disg.Data, bd)
-		}
+		body, err := g.point(ctx, p, bd, disg.Data, disgSrc, ndr, sketch)
 		if err != nil {
-			var pe *ParamError
-			if errors.As(err, &pe) {
+			if isParamError(err) {
 				out[i].Err = err.Error()
 				continue
 			}
 			return nil, err
 		}
-		// A context that died mid-battery is absorbed by the evaluators
-		// into per-attack error fields; recording such a report would
-		// break byte-equality with the standalone path, which fails the
-		// whole request instead.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		body, err := MarshalReport(rep, utilities, p, g.rows, g.cols, g.digest)
-		if err != nil {
-			return nil, err
-		}
 		out[i].Body = body
 	}
 	return out, nil
+}
+
+// point evaluates and marshals one point of a perturbed group.
+func (g *GroupExec) point(ctx context.Context, p Params, bd core.BuiltDefense, disgData *mat.Dense, disgSrc func() stream.Source, ndr float64, sketch core.SketchFn) ([]byte, error) {
+	var rep *core.PrivacyReport
+	var utilities []core.UtilityResult
+	var err error
+	if g.stream {
+		rep, err = g.env.EvaluateStreamPoint(p, g.origSrc(), disgSrc(), bd, &ndr, sketch)
+	} else {
+		rep, utilities, err = g.env.EvaluateMemoryPoint(ctx, p, g.origData, disgData, bd)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// A context that died mid-battery is absorbed by the evaluators into
+	// per-attack error fields; recording such a report would break
+	// byte-equality with the standalone path, which fails the whole
+	// request instead.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return MarshalReport(rep, utilities, p, g.rows, g.cols, g.digest)
 }
 
 // Execute runs a compiled plan over one upload. The upload is scanned

@@ -20,6 +20,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -119,6 +120,12 @@ type ParamError struct{ Err error }
 
 func (e *ParamError) Error() string { return e.Err.Error() }
 func (e *ParamError) Unwrap() error { return e.Err }
+
+// isParamError reports whether err is (or wraps) a parameter rejection.
+func isParamError(err error) bool {
+	var pe *ParamError
+	return errors.As(err, &pe)
+}
 
 func paramErr(err error) error {
 	if err == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -440,4 +441,27 @@ func FuzzSweepSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMarshalReportRejectsNonFinite: JSON cannot carry NaN or ±Inf, so
+// a report holding one is a parameter rejection naming the first such
+// field in body order — never an encoder error that would surface as a
+// 500.
+func TestMarshalReportRejectsNonFinite(t *testing.T) {
+	p := Params{Sigma: 1e307, Seed: 1, Scheme: "additive", Chunk: 8, Stream: true}
+	for want, rep := range map[string]*core.PrivacyReport{
+		"ndr_baseline_rmse is +Inf": {NDRBaseline: math.Inf(1)},
+		"results[PCA-DR].column_rmse[1] is NaN": {NDRBaseline: 1, Results: []core.AttackResult{
+			{Attack: "PCA-DR", RMSE: 1, ColumnRMSE: []float64{1, math.NaN()}},
+		}},
+	} {
+		_, err := MarshalReport(rep, nil, p, 10, 2, "digest")
+		var pe *ParamError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), want) {
+			t.Errorf("MarshalReport = %v, want a *ParamError naming %q", err, want)
+		}
+	}
+	if _, err := MarshalReport(&core.PrivacyReport{NDRBaseline: 1}, nil, p, 10, 2, "digest"); err != nil {
+		t.Fatalf("finite report rejected: %v", err)
+	}
 }

@@ -3,7 +3,10 @@
 # with real processes: the same streamed assessment job — and the same
 # multipart sweep, partitioned into perturbation-group tasks — must
 # return byte-identical results from a single-process server, a
-# 1-worker cluster and a 2-worker cluster. This is the process-level
+# 1-worker cluster and a 2-worker cluster; a synchronous streamed
+# assessment on the 2-worker cluster, scored by per-attack score tasks
+# over the disguised copy's float64 spool, must match the
+# single-process response. This is the process-level
 # version of the in-process identity tests
 # (TestClusterAssessByteIdentity, TestClusterSweepDelegationByteIdentity),
 # run in CI so the flag wiring, the worker role and the shared state
@@ -47,6 +50,10 @@ go build -o "$WORK/randprivd" ./cmd/randprivd
 go run ./cmd/randpriv gen -n 600 -m 6 -p 2 -seed 7 -out "$WORK/data.csv"
 
 QUERY='sigma=5&seed=11&stream=1&chunk=32'
+# Jobs get their own seed: cluster B's synchronous assess publishes its
+# report to B's shared result cache, and a job with the same parameters
+# would be served from there instead of running as a delegated task.
+JOB_QUERY='sigma=5&seed=12&stream=1&chunk=32'
 
 # A 6-point grid in 6 perturbation groups: enough fan-out that both
 # workers of cluster B carry delegated sweepgroup tasks.
@@ -68,7 +75,7 @@ wait_http() {
 run_job() {
     port="$1"; out="$2"
     id="$(curl -sf --data-binary @"$WORK/data.csv" \
-        "localhost:${port}/v1/jobs?${QUERY}" \
+        "localhost:${port}/v1/jobs?${JOB_QUERY}" \
         | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
     [ -n "$id" ] || { echo "job submit on :${port} returned no id" >&2; exit 1; }
     i=0
@@ -116,6 +123,8 @@ mkdir -p "$WORK/spool0"
 wait_http localhost:18080/healthz
 curl -sf --data-binary @"$WORK/data.csv" \
     "localhost:18080/v1/assess?${QUERY}" >"$WORK/base.json"
+curl -sf --data-binary @"$WORK/data.csv" \
+    "localhost:18080/v1/assess?${JOB_QUERY}" >"$WORK/base_job.json"
 run_sweep 18080 "$WORK/base_sweep.json"
 
 echo "cluster A: coordinator (no embedded execution) + 1 worker ..." >&2
@@ -141,6 +150,16 @@ PIDS="$PIDS $!"
 wait_http localhost:18083/healthz
 wait_http localhost:18084/healthz
 wait_http localhost:18085/healthz
+
+echo "cluster B: synchronous streamed assess, scored by the workers ..." >&2
+curl -sf --data-binary @"$WORK/data.csv" \
+    "localhost:18083/v1/assess?${QUERY}" >"$WORK/two_sync.json"
+# The coordinator embeds no claim loops, so score tasks in its queue
+# were executed by the workers.
+curl -sf localhost:18083/v1/status | grep -q '"score"' || {
+    echo "FAIL: coordinator /v1/status shows no score tasks; the scoring pass was not delegated" >&2
+    exit 1
+}
 run_job 18083 "$WORK/two.json"
 
 echo "cluster B: delegated multipart sweep across 2 workers ..." >&2
@@ -152,16 +171,20 @@ curl -sf localhost:18083/v1/status | grep -q '"sweepgroup"' || {
     exit 1
 }
 
-cmp "$WORK/base.json" "$WORK/one.json" || {
+cmp "$WORK/base_job.json" "$WORK/one.json" || {
     echo "FAIL: 1-worker cluster result differs from single-process baseline" >&2
     exit 1
 }
-cmp "$WORK/base.json" "$WORK/two.json" || {
+cmp "$WORK/base_job.json" "$WORK/two.json" || {
     echo "FAIL: 2-worker cluster result differs from single-process baseline" >&2
+    exit 1
+}
+cmp "$WORK/base.json" "$WORK/two_sync.json" || {
+    echo "FAIL: 2-worker cluster synchronous assess differs from single-process baseline" >&2
     exit 1
 }
 cmp "$WORK/base_sweep.json" "$WORK/two_sweep.json" || {
     echo "FAIL: delegated sweep result differs from single-process baseline" >&2
     exit 1
 }
-echo "OK: single-process, 1-worker and 2-worker results (jobs and sweep) are byte-identical" >&2
+echo "OK: single-process, 1-worker and 2-worker results (jobs, sync assess and sweep) are byte-identical" >&2
