@@ -2,6 +2,7 @@ package asr
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,6 +14,9 @@ func TestReconstructEmptyInput(t *testing.T) {
 	_, err := Reconstruct(nil, dist.NewNormal(0, 1), Options{})
 	if !errors.Is(err, ErrNoSamples) {
 		t.Fatalf("err = %v, want ErrNoSamples", err)
+	}
+	if _, _, err := ReconstructPosterior(nil, dist.NewNormal(0, 1), Options{}); !errors.Is(err, ErrNoSamples) {
+		t.Fatalf("ReconstructPosterior err = %v, want ErrNoSamples", err)
 	}
 }
 
@@ -132,13 +136,12 @@ func TestPosteriorMeansLength(t *testing.T) {
 	for i := range y {
 		y[i] = rng.NormFloat64() + noise.Rand(rng)
 	}
-	d, err := Reconstruct(y, noise, Options{Bins: 60})
+	_, out, err := ReconstructPosterior(y, noise, Options{Bins: 60})
 	if err != nil {
-		t.Fatalf("Reconstruct: %v", err)
+		t.Fatalf("ReconstructPosterior: %v", err)
 	}
-	out := d.PosteriorMeans(y, noise)
 	if len(out) != len(y) {
-		t.Fatalf("PosteriorMeans length = %d, want %d", len(out), len(y))
+		t.Fatalf("posterior means length = %d, want %d", len(out), len(y))
 	}
 }
 
@@ -155,11 +158,10 @@ func TestPosteriorMeanBeatsNDR(t *testing.T) {
 		x[i] = trueX.Rand(rng)
 		y[i] = x[i] + noise.Rand(rng)
 	}
-	d, err := Reconstruct(y, noise, Options{Bins: 120, MaxIter: 200})
+	_, est, err := ReconstructPosterior(y, noise, Options{Bins: 120, MaxIter: 200})
 	if err != nil {
-		t.Fatalf("Reconstruct: %v", err)
+		t.Fatalf("ReconstructPosterior: %v", err)
 	}
-	est := d.PosteriorMeans(y, noise)
 	var mseUDR, mseNDR float64
 	for i := range x {
 		mseUDR += (est[i] - x[i]) * (est[i] - x[i])
@@ -225,5 +227,243 @@ func TestReconstructConvergenceFlag(t *testing.T) {
 	}
 	if d.Iterations <= 0 || d.Iterations > 500 {
 		t.Errorf("Iterations = %d out of range", d.Iterations)
+	}
+}
+
+// reconstructRef is the Agrawal–Srikant iteration one sample at a time,
+// each denominator a single chain over the grid: the reference the
+// blocked update in Reconstruct must reproduce bit for bit.
+func reconstructRef(y []float64, noise dist.Continuous, opts Options) *Density {
+	o := opts.withDefaults()
+	noiseSD := math.Sqrt(noise.Variance())
+	noiseMean := noise.Mean()
+	lo, hi := y[0], y[0]
+	for _, v := range y {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	lo -= noiseMean + o.Pad*noiseSD
+	hi += -noiseMean + o.Pad*noiseSD
+	if hi <= lo {
+		hi = lo + 1
+	}
+	width := (hi - lo) / float64(o.Bins)
+	grid := make([]float64, o.Bins)
+	for i := range grid {
+		grid[i] = lo + (float64(i)+0.5)*width
+	}
+	n := len(y)
+	kernel := make([]float64, n*o.Bins)
+	for i, yi := range y {
+		row := kernel[i*o.Bins : (i+1)*o.Bins]
+		for k, xk := range grid {
+			row[k] = noise.PDF(yi - xk)
+		}
+	}
+	f := make([]float64, o.Bins)
+	for i := range f {
+		f[i] = 1 / (width * float64(o.Bins))
+	}
+	next := make([]float64, o.Bins)
+	d := &Density{Grid: grid, F: f, Width: width}
+	for iter := 0; iter < o.MaxIter; iter++ {
+		for k := range next {
+			next[k] = 0
+		}
+		for i := 0; i < n; i++ {
+			row := kernel[i*o.Bins : (i+1)*o.Bins]
+			var denom float64
+			for k, fk := range f {
+				denom += row[k] * fk
+			}
+			denom *= width
+			if denom <= 0 {
+				continue
+			}
+			for k, fk := range f {
+				next[k] += row[k] * fk / denom
+			}
+		}
+		inv := 1 / float64(n)
+		var l1 float64
+		for k := range next {
+			next[k] *= inv
+			l1 += math.Abs(next[k]-f[k]) * width
+		}
+		copy(f, next)
+		d.Iterations = iter + 1
+		if l1 < o.Tol {
+			d.Converged = true
+			break
+		}
+	}
+	normalize(f, width)
+	return d
+}
+
+// posteriorMeansRef is the per-sample PosteriorMean loop, the reference
+// for ReconstructPosterior's pass over the kernel rows.
+func posteriorMeansRef(d *Density, y []float64, noise dist.Continuous) []float64 {
+	out := make([]float64, len(y))
+	for i, yi := range y {
+		out[i] = d.PosteriorMean(yi, noise)
+	}
+	return out
+}
+
+// rowsNoise is a noise double whose PDF returns val on the kernel rows
+// of the chosen samples and inner's density elsewhere; val 0 gives those
+// samples a zero denominator, val NaN a NaN one. It tells samples apart
+// by call order: the kernel is built row by row, Bins calls per sample,
+// and the reference posterior pass repeats that order, so call c belongs
+// to sample (c / bins) mod n. The calls count checks that assumption.
+type rowsNoise struct {
+	inner dist.Continuous
+	bins  int
+	n     int
+	rows  map[int]bool
+	val   float64
+	calls int
+}
+
+func (z *rowsNoise) Mean() float64               { return z.inner.Mean() }
+func (z *rowsNoise) Variance() float64           { return z.inner.Variance() }
+func (z *rowsNoise) Rand(rng *rand.Rand) float64 { return z.inner.Rand(rng) }
+func (z *rowsNoise) PDF(x float64) float64 {
+	i := z.calls / z.bins % z.n
+	z.calls++
+	if z.rows[i] {
+		return z.val
+	}
+	return z.inner.PDF(x)
+}
+
+// firstBitsDiff returns the first index where a and b differ in bits,
+// or -1 when they are identical.
+func firstBitsDiff(a, b []float64) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkAgainstRef runs ReconstructPosterior and the one-sample reference
+// on y and requires the grid, density, iteration count, convergence flag
+// and posterior means to agree bit for bit.
+func checkAgainstRef(t *testing.T, y []float64, noise dist.Continuous, opts Options) {
+	t.Helper()
+	d, means, err := ReconstructPosterior(y, noise, opts)
+	if err != nil {
+		t.Fatalf("ReconstructPosterior: %v", err)
+	}
+	if z, ok := noise.(*rowsNoise); ok {
+		if want := len(y) * z.bins; z.calls != want {
+			t.Fatalf("ReconstructPosterior made %d PDF calls, want %d (one kernel, reused by the posterior pass)", z.calls, want)
+		}
+		z.calls = 0
+	}
+	ref := reconstructRef(y, noise, opts)
+	refMeans := posteriorMeansRef(ref, y, noise)
+	if z, ok := noise.(*rowsNoise); ok {
+		if want := 2 * len(y) * z.bins; z.calls != want {
+			t.Fatalf("reference made %d PDF calls, want %d (kernel, then one per posterior term)", z.calls, want)
+		}
+		z.calls = 0
+	}
+	if i := firstBitsDiff(d.Grid, ref.Grid); i >= 0 {
+		t.Fatalf("Grid differs at %d", i)
+	}
+	if i := firstBitsDiff(d.F, ref.F); i >= 0 {
+		t.Fatalf("F[%d] = %v, reference %v", i, d.F[i], ref.F[i])
+	}
+	if math.Float64bits(d.Width) != math.Float64bits(ref.Width) {
+		t.Fatalf("Width = %v, reference %v", d.Width, ref.Width)
+	}
+	if d.Iterations != ref.Iterations || d.Converged != ref.Converged {
+		t.Fatalf("Iterations/Converged = %d/%t, reference %d/%t", d.Iterations, d.Converged, ref.Iterations, ref.Converged)
+	}
+	if i := firstBitsDiff(means, refMeans); i >= 0 {
+		t.Fatalf("posterior mean %d = %v, reference %v", i, means[i], refMeans[i])
+	}
+	dOnly, err := Reconstruct(y, noise, opts)
+	if err != nil {
+		t.Fatalf("Reconstruct: %v", err)
+	}
+	if i := firstBitsDiff(dOnly.F, ref.F); i >= 0 {
+		t.Fatalf("Reconstruct F[%d] = %v, reference %v", i, dOnly.F[i], ref.F[i])
+	}
+}
+
+var oracleSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 1000}
+
+// TestReconstructMatchesOneSampleReference: the 4-sample blocked update
+// and the kernel-row posterior pass are bit-identical to the one-sample
+// iteration and the per-sample PosteriorMean loop, for every block/tail
+// split of n, three noise shapes, the default options (which run all
+// MaxIter rounds) and options that converge early.
+func TestReconstructMatchesOneSampleReference(t *testing.T) {
+	noises := []struct {
+		name  string
+		noise dist.Continuous
+	}{
+		{"normal", dist.NewNormal(0, 1.5)},
+		{"laplace", dist.NewLaplace(0.3, 1)},
+		{"uniform", dist.NewUniform(-2, 2)},
+	}
+	optsSet := []Options{{}, {Bins: 37, MaxIter: 400, Tol: 1e-3}}
+	for _, nz := range noises {
+		for _, n := range oracleSizes {
+			for oi, opts := range optsSet {
+				nz, n, opts := nz, n, opts
+				t.Run(fmt.Sprintf("%s/n=%d/opts=%d", nz.name, n, oi), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(n)*31 + int64(oi)))
+					y := make([]float64, n)
+					for i := range y {
+						x := 2 * rng.NormFloat64()
+						if rng.Intn(2) == 0 {
+							x += 5
+						}
+						y[i] = x + nz.noise.Rand(rng)
+					}
+					checkAgainstRef(t, y, nz.noise, opts)
+				})
+			}
+		}
+	}
+}
+
+// TestReconstructSkipsNonPositiveDenominators: samples whose kernel row
+// is all zero (denominator 0, skipped) or all NaN (denominator NaN, not
+// skipped) land inside 4-sample blocks and in the tail; the blocked
+// update must fall back to the one-sample rule and match the reference
+// bit for bit.
+func TestReconstructSkipsNonPositiveDenominators(t *testing.T) {
+	const bins = 24
+	for _, val := range []float64{0, math.NaN()} {
+		for _, n := range oracleSizes {
+			val, n := val, n
+			t.Run(fmt.Sprintf("val=%v/n=%d", val, n), func(t *testing.T) {
+				rows := map[int]bool{n - 1: true}
+				for i := 2; i < n; i += 7 {
+					rows[i] = true
+				}
+				z := &rowsNoise{inner: dist.NewNormal(0, 1), bins: bins, n: n, rows: rows, val: val}
+				rng := rand.New(rand.NewSource(int64(n)))
+				y := make([]float64, n)
+				for i := range y {
+					y[i] = 3*rng.NormFloat64() + rng.NormFloat64()
+				}
+				checkAgainstRef(t, y, z, Options{Bins: bins, MaxIter: 40})
+			})
+		}
 	}
 }

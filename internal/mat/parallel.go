@@ -36,6 +36,21 @@ func parallelRows(rows, workers int, work func(r0, r1 int)) {
 	parallelBounds(bounds, work)
 }
 
+// ParallelFor runs work(i) once for every i in [0, n). The indices are
+// split into at most GOMAXPROCS contiguous runs, and each run goes
+// inline or on a goroutine as the process-wide kernel token budget
+// allows, so callers fanning out independent items (UDR's attributes)
+// share the data-parallel kernels' ceiling instead of starting a pool of
+// their own. Which goroutine runs an index is not fixed: work must
+// depend only on i and write only outputs no other index writes.
+func ParallelFor(n int, work func(i int)) {
+	parallelRows(n, maxWorkers(), func(r0, r1 int) {
+		for i := r0; i < r1; i++ {
+			work(i)
+		}
+	})
+}
+
 // parallelBounds runs work(bounds[k], bounds[k+1]) for every consecutive
 // boundary pair, inline or on a goroutine as the token budget allows.
 // It is the spawn engine under parallelRows and the weighted splits

@@ -42,3 +42,15 @@ func TestParallelRowsCoversRange(t *testing.T) {
 		}
 	}
 }
+
+func TestParallelForRunsEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		hit := make([]int64, n)
+		ParallelFor(n, func(i int) { atomic.AddInt64(&hit[i], 1) })
+		for i, v := range hit {
+			if v != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, v)
+			}
+		}
+	}
+}

@@ -3,8 +3,10 @@ package recon
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"randpriv/internal/asr"
 	"randpriv/internal/dist"
 	"randpriv/internal/mat"
 	"randpriv/internal/randomize"
@@ -166,6 +168,43 @@ func TestUDRWithLaplaceNoise(t *testing.T) {
 	}
 	if got, floor := stat.RMSE(xhat, ds.X), stat.RMSE(pert.Y, ds.X); got >= floor {
 		t.Errorf("UDR with Laplace noise %v did not beat NDR %v", got, floor)
+	}
+}
+
+// TestUDRBitIdenticalAcrossGOMAXPROCS: UDR runs its attributes
+// concurrently, so its output must not depend on the parallelism. At
+// GOMAXPROCS 1, 2, 3 and 16 (more than m) every entry matches, bit for
+// bit, the serial per-attribute composition of asr.Reconstruct and
+// Density.PosteriorMean.
+func TestUDRBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	tc := makeCorrelated(t, 203, 7, 2, 5)
+	udr := NewUDR(tc.sigma)
+	n, m := tc.y.Dims()
+	want := mat.Zeros(n, m)
+	for j := 0; j < m; j++ {
+		col := tc.y.Col(j)
+		d, err := asr.Reconstruct(col, udr.Noise, udr.Opts)
+		if err != nil {
+			t.Fatalf("asr.Reconstruct column %d: %v", j, err)
+		}
+		for i, yi := range col {
+			want.Set(i, j, d.PosteriorMean(yi, udr.Noise))
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 16} {
+		runtime.GOMAXPROCS(procs)
+		got, err := udr.Reconstruct(tc.y)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: UDR: %v", procs, err)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("GOMAXPROCS %d: x̂[%d,%d] = %v, serial %v", procs, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+		}
 	}
 }
 

@@ -16,9 +16,17 @@ import (
 // guesses. UDR ignores cross-attribute correlation entirely, which is why
 // the paper uses it as the benchmark the correlation-based attacks must
 // beat.
+//
+// The attributes are independent, so Reconstruct runs them concurrently
+// under the mat package's process-wide kernel budget (mat.ParallelFor).
+// Each attribute's arithmetic is the serial loop's, whichever goroutine
+// runs it, so the output is bit-identical at any GOMAXPROCS. A running
+// attribute holds its n×Bins noise kernel (8·n·Bins bytes) until its
+// posterior means are written.
 type UDR struct {
 	// Noise is the known per-entry noise distribution (f_R is public in
-	// the randomization model).
+	// the randomization model). Its PDF is called from several
+	// goroutines at once.
 	Noise dist.Continuous
 	// Opts tunes the density reconstruction grid; zero values take the
 	// asr defaults.
@@ -40,13 +48,19 @@ func (u *UDR) Reconstruct(y *mat.Dense) (*mat.Dense, error) {
 	}
 	n, m := y.Dims()
 	out := mat.Zeros(n, m)
-	for j := 0; j < m; j++ {
-		col := y.Col(j)
-		density, err := asr.Reconstruct(col, u.Noise, u.Opts)
+	errs := make([]error, m)
+	mat.ParallelFor(m, func(j int) {
+		_, means, err := asr.ReconstructPosterior(y.Col(j), u.Noise, u.Opts)
+		if err != nil {
+			errs[j] = err
+			return
+		}
+		out.SetCol(j, means)
+	})
+	for j, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("recon: UDR attribute %d: %w", j, err)
 		}
-		out.SetCol(j, density.PosteriorMeans(col, u.Noise))
 	}
 	return out, nil
 }

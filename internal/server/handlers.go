@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -252,12 +251,6 @@ func (s *Server) decodeParams(r *http.Request, allowed ...string) (requestParams
 	return p, nil
 }
 
-// requestRNG builds the request's RNG — the sweep engine's point RNG, so
-// a request is bit-identical to the same point evaluated mid-sweep.
-func requestRNG(seed int64) *rand.Rand {
-	return sweep.PointRNG(seed)
-}
-
 // spoolAndOpen spools the request body (deadline-bounded) and opens a
 // chunked source over it. On success the caller owns both and must
 // Close/Remove them.
@@ -401,9 +394,34 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		sink := &lazyCSVSink{w: w, names: src.Names()}
-		if err := bd.Scheme.PerturbStream(cs, sink, requestRNG(p.Seed)); err != nil {
+		// Perturb into a spool first: sweep.Perturb rejects an
+		// overflowing defense at any row, and the rejection must come
+		// before the first CSV byte, as it does on /v1/assess.
+		disgSpool, err := writeSpool(s.fs, s.cfg.SpoolDir, "randprivd-disg-*.f64", len(src.Names()), func(sink stream.Sink) error {
+			return sweep.Perturb(bd, p.Seed, cs, sink)
+		})
+		if err != nil {
 			return err
+		}
+		defer disgSpool.Remove()
+		disg, err := disgSpool.open(p.Chunk)
+		if err != nil {
+			return err
+		}
+		defer disg.Close()
+		ds := stream.ContextSource{Ctx: r.Context(), Src: disg}
+		sink := &lazyCSVSink{w: w, names: src.Names()}
+		for {
+			chunk, err := ds.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			if err := sink.Append(chunk); err != nil {
+				return err
+			}
 		}
 		return sink.Flush()
 	})

@@ -71,6 +71,29 @@ wait_http() {
     done
 }
 
+# start_daemon PORT ARGS... — start the freshly built randprivd on PORT
+# with ARGS and wait until it answers. The ports are fixed, so a process
+# left on one (say, by an interrupted earlier run) would answer in the
+# new daemon's place while the new one exits on bind, and the smoke
+# would silently test the old binary. Refuse a port that already
+# answers, and check that the daemon which came up is the one started.
+start_daemon() {
+    port="$1"
+    shift
+    if curl -sf "localhost:${port}/healthz" >/dev/null 2>&1; then
+        echo "FAIL: something already answers on localhost:${port}; stop it and rerun" >&2
+        exit 1
+    fi
+    "$WORK/randprivd" -addr ":${port}" "$@" &
+    pid=$!
+    PIDS="$PIDS $pid"
+    wait_http "localhost:${port}/healthz"
+    kill -0 "$pid" 2>/dev/null || {
+        echo "FAIL: randprivd for :${port} exited; another process answers on that port" >&2
+        exit 1
+    }
+}
+
 # run_job PORT OUT — submit the job, poll to completion, store the result.
 run_job() {
     port="$1"; out="$2"
@@ -117,10 +140,8 @@ run_sweep() {
 }
 
 echo "baseline: single process, synchronous assess ..." >&2
-"$WORK/randprivd" -addr :18080 -spool "$WORK/spool0" -jobs-dir "$WORK/jobs0" &
-PIDS="$PIDS $!"
 mkdir -p "$WORK/spool0"
-wait_http localhost:18080/healthz
+start_daemon 18080 -spool "$WORK/spool0" -jobs-dir "$WORK/jobs0"
 curl -sf --data-binary @"$WORK/data.csv" \
     "localhost:18080/v1/assess?${QUERY}" >"$WORK/base.json"
 curl -sf --data-binary @"$WORK/data.csv" \
@@ -128,28 +149,18 @@ curl -sf --data-binary @"$WORK/data.csv" \
 run_sweep 18080 "$WORK/base_sweep.json"
 
 echo "cluster A: coordinator (no embedded execution) + 1 worker ..." >&2
-"$WORK/randprivd" -addr :18081 -cluster-dir "$WORK/clusterA" -node-id coord-a \
-    -cluster-workers -1 -spool "$WORK/spoolA" -jobs-dir "$WORK/jobsA" &
-PIDS="$PIDS $!"
 mkdir -p "$WORK/spoolA"
-"$WORK/randprivd" -role worker -addr :18082 -cluster-dir "$WORK/clusterA" -node-id wa1 &
-PIDS="$PIDS $!"
-wait_http localhost:18081/healthz
-wait_http localhost:18082/healthz
+start_daemon 18081 -cluster-dir "$WORK/clusterA" -node-id coord-a \
+    -cluster-workers -1 -spool "$WORK/spoolA" -jobs-dir "$WORK/jobsA"
+start_daemon 18082 -role worker -cluster-dir "$WORK/clusterA" -node-id wa1
 run_job 18081 "$WORK/one.json"
 
 echo "cluster B: coordinator (no embedded execution) + 2 workers ..." >&2
-"$WORK/randprivd" -addr :18083 -cluster-dir "$WORK/clusterB" -node-id coord-b \
-    -cluster-workers -1 -spool "$WORK/spoolB" -jobs-dir "$WORK/jobsB" &
-PIDS="$PIDS $!"
 mkdir -p "$WORK/spoolB"
-"$WORK/randprivd" -role worker -addr :18084 -cluster-dir "$WORK/clusterB" -node-id wb1 &
-PIDS="$PIDS $!"
-"$WORK/randprivd" -role worker -addr :18085 -cluster-dir "$WORK/clusterB" -node-id wb2 &
-PIDS="$PIDS $!"
-wait_http localhost:18083/healthz
-wait_http localhost:18084/healthz
-wait_http localhost:18085/healthz
+start_daemon 18083 -cluster-dir "$WORK/clusterB" -node-id coord-b \
+    -cluster-workers -1 -spool "$WORK/spoolB" -jobs-dir "$WORK/jobsB"
+start_daemon 18084 -role worker -cluster-dir "$WORK/clusterB" -node-id wb1
+start_daemon 18085 -role worker -cluster-dir "$WORK/clusterB" -node-id wb2
 
 echo "cluster B: synchronous streamed assess, scored by the workers ..." >&2
 curl -sf --data-binary @"$WORK/data.csv" \
