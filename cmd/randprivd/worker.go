@@ -83,10 +83,7 @@ func runWorker(addr, dir, node string, nWorkers, chunk int, spool string, timeou
 		if err != nil {
 			return err
 		}
-		w.Register(cluster.TaskSketch, cluster.SketchShardRunner)
-		w.Register(cluster.TaskAssess, srv.ClusterAssessRunner())
-		w.Register(cluster.TaskSweepGroup, srv.ClusterSweepGroupRunner())
-		w.Register(cluster.TaskScore, srv.ClusterScoreRunner())
+		srv.RegisterRunners(w)
 		if err := w.Start(); err != nil {
 			return err
 		}

@@ -309,7 +309,15 @@ func TestFaultCoordinatorRestart(t *testing.T) {
 	if claimed, done, failed := w.Stats(); claimed != shards || done != shards || failed != 0 {
 		t.Fatalf("worker stats claimed=%d done=%d failed=%d, want each shard run exactly once (%d)", claimed, done, failed, shards)
 	}
-	if p, c, d := st.QueueStats(); p != 0 || c != 0 || d != shards {
+	// Complete writes a task's done file before it removes the claim
+	// file, so ShardedSketch can return while a worker is between the
+	// two steps; wait, within a deadline, for the queue to settle.
+	p, c, d := st.QueueStats()
+	for deadline := time.Now().Add(10 * time.Second); (p != 0 || c != 0 || d != shards) && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		p, c, d = st.QueueStats()
+	}
+	if p != 0 || c != 0 || d != shards {
 		t.Fatalf("queue pending=%d claimed=%d done=%d, want 0/0/%d", p, c, d, shards)
 	}
 }

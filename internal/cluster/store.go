@@ -195,40 +195,19 @@ func (s *Store) HasBlob(digest string) bool {
 	return err == nil
 }
 
-// writeAtomic writes body into the store via a temp file in <dir>/tmp
-// and a rename, with the full crash-durability protocol at the commit
-// point: the temp file is fsynced before the rename and the target's
-// directory after it, so a committed write survives power loss, not
-// just process death. Transient failures retry the whole protocol with
-// a fresh temp file — which is why write must be replayable (every
-// caller either writes from memory or re-seeks its source). A failed
-// attempt's temp file is removed immediately; what a crash strands, the
-// startup sweep reclaims.
+// writeAtomic writes into the store via a temp file in <dir>/tmp
+// through faultfs.WriteAtomic's crash-durable commit. Transient failures
+// retry the whole protocol with a fresh temp file — which is why write
+// must be replayable (every caller either writes from memory or re-seeks
+// its source). A failed attempt's temp file is removed immediately;
+// what a crash strands, the startup sweep reclaims.
 func (s *Store) writeAtomic(path string, write func(io.Writer) error) error {
 	// Store writes retry on a background context on purpose: the store
 	// is process-shared durable state and a commit in flight must not be
 	// abandoned because one caller's request context expired (attempts
 	// are bounded, so nothing can hang on it).
 	err := s.ioRetry.Do(context.Background(), func() error {
-		tmp, err := s.fs.CreateTemp(s.tmpDir(), "put-*")
-		if err != nil {
-			return err
-		}
-		err = write(tmp)
-		if err == nil {
-			err = tmp.Sync()
-		}
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = s.fs.Rename(tmp.Name(), path)
-		}
-		if err != nil {
-			s.fs.Remove(tmp.Name())
-			return err
-		}
-		return s.fs.SyncDir(filepath.Dir(path))
+		return faultfs.WriteAtomic(s.fs, s.tmpDir(), "put-*", path, write)
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: write %s: %w", filepath.Base(path), err)

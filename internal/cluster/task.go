@@ -23,13 +23,11 @@ import (
 const (
 	// TaskSketch builds the per-chunk moment sketches of one spool shard.
 	TaskSketch = "sketch"
-	// TaskAssess runs one full assessment (the server registers its
+	// TaskSweepGroup executes one perturbation group of a compiled plan
+	// end-to-end — perturb, shared sketch, every attack and utility of
+	// the group's points — against the content-addressed upload; a plain
+	// assessment job is a one-point group (the server registers its
 	// runner; the cluster package only routes it).
-	TaskAssess = "assess"
-	// TaskSweepGroup executes one perturbation group of a compiled sweep
-	// plan end-to-end — perturb, shared sketch, every attack and utility
-	// of the group's points — against the content-addressed upload (the
-	// server registers its runner).
 	TaskSweepGroup = "sweepgroup"
 	// TaskScore runs one attack of a streamed assessment's scoring pass
 	// against the content-addressed original/disguised pair (the server
@@ -53,8 +51,8 @@ type Task struct {
 	Chunk       int    `json:"chunk,omitempty"`
 	Shard       int    `json:"shard,omitempty"`
 
-	// Assess tasks: the job spec (server-interpreted JSON) and the CAS
-	// digest of the upload it runs against.
+	// Sweep-group and score tasks: the server-interpreted JSON spec and
+	// the CAS digest of the upload it runs against.
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Digest string          `json:"digest,omitempty"`
 
@@ -79,24 +77,12 @@ func NewSketchTask(shardDigest string, chunk, shard int) Task {
 	}
 }
 
-// NewAssessTask builds the assessment task for one (spec, upload) pair.
-// The spec bytes are part of the identity, so they must be canonical —
-// randprivd marshals its jobSpec with encoding/json, which is
-// deterministic for a given parameter set.
-func NewAssessTask(spec json.RawMessage, digest string) Task {
-	return Task{
-		ID:     taskID("assess", string(spec), digest),
-		Type:   TaskAssess,
-		Spec:   append(json.RawMessage(nil), spec...),
-		Digest: digest,
-	}
-}
-
 // NewSweepGroupTask builds the task for one perturbation group of a
-// sweep plan. Like assess tasks, the server-interpreted spec bytes are
-// part of the identity (they name the group's points canonically), so a
-// restarted coordinator recomputes the same IDs and finds its earlier
-// done files, and identical groups across sweep jobs dedup.
+// plan. The server-interpreted spec bytes are part of the identity (they
+// name the group's points canonically — randprivd marshals them with
+// encoding/json, which is deterministic), so a restarted coordinator
+// recomputes the same IDs and finds its earlier done files, and
+// identical groups across jobs dedup.
 func NewSweepGroupTask(spec json.RawMessage, digest string) Task {
 	return Task{
 		ID:     taskID("sweepgroup", string(spec), digest),

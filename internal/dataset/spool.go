@@ -20,7 +20,9 @@ import (
 	"math"
 	"os"
 
+	"randpriv/internal/faultfs"
 	"randpriv/internal/mat"
+	"randpriv/internal/stream"
 )
 
 // SpoolHeaderSize is the byte length of a spool header; row data starts
@@ -242,4 +244,113 @@ func (s *SpoolSource) Close() error {
 	err := s.rc.Close()
 	s.rc = nil
 	return err
+}
+
+// Spool is a float64 spool file on a faultfs.FS: an upload after its
+// validation pass, or a disguised copy under attack. It is created,
+// reopened and removed through that FS, so storage faults injected
+// there reach every pass.
+type Spool struct {
+	fs   faultfs.FS
+	path string
+}
+
+// CreateSpool creates a float64 spool of a cols-column data set in dir
+// (the name follows pattern, as in os.CreateTemp) and fills it through
+// fill. A failed fill, write or close removes the partial file and
+// returns the error unchanged, so a fill's own classification (a client
+// data error, a parameter rejection) survives and a storage fault stays
+// a storage fault. A nil fsys is the OS filesystem.
+func CreateSpool(fsys faultfs.FS, dir, pattern string, cols int, fill func(stream.Sink) error) (*Spool, error) {
+	fsys = faultfs.Default(fsys)
+	f, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: create spool: %w", err)
+	}
+	sw, err := NewSpoolWriter(f, cols)
+	if err == nil {
+		err = fill(sw)
+	}
+	if err == nil {
+		err = sw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(f.Name())
+		return nil, err
+	}
+	return &Spool{fs: fsys, path: f.Name()}, nil
+}
+
+// Path returns the spool file's path.
+func (sp *Spool) Path() string { return sp.path }
+
+// Open returns a chunked source over the spool.
+func (sp *Spool) Open(chunkRows int) (*SpoolSource, error) {
+	return ReadSpool(func() (io.ReadCloser, error) { return sp.fs.Open(sp.path) }, chunkRows)
+}
+
+// Remove deletes the spool file.
+func (sp *Spool) Remove() {
+	if sp != nil {
+		sp.fs.Remove(sp.path)
+	}
+}
+
+// DataError marks a client-data failure the validation pass found: a
+// value that does not parse, a non-finite value, a ragged row or an
+// empty data set. Error() is the inner message unchanged.
+type DataError struct{ Err error }
+
+func (e *DataError) Error() string { return e.Err.Error() }
+func (e *DataError) Unwrap() error { return e.Err }
+
+// Validate is the fail-fast pass over an upload, the only CSV decode it
+// gets: it reads src once from the start, checks every chunk
+// (stream.ValidateChunk) and appends it to sink, so malformed data
+// fails before any compute and every later pass reads sink's copy
+// instead of the CSV. Bad data and an empty data set come back as
+// *DataError; a failing sink or Reset passes through unchanged.
+func Validate(src stream.Source, cols int, sink stream.Sink) (int64, error) {
+	if err := src.Reset(); err != nil {
+		return 0, err
+	}
+	var rows int64
+	for {
+		chunk, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, &DataError{err}
+		}
+		if err := stream.ValidateChunk(chunk, rows); err != nil {
+			return 0, &DataError{err}
+		}
+		if err := sink.Append(chunk); err != nil {
+			return 0, err
+		}
+		rows += int64(chunk.Rows())
+	}
+	if rows == 0 || cols == 0 {
+		return 0, &DataError{fmt.Errorf("dataset: empty data set (%d rows, %d columns)", rows, cols)}
+	}
+	return rows, nil
+}
+
+// ValidateSpool runs Validate into a new upload spool in dir, returning
+// the spool and the row count. On error no file is left behind.
+func ValidateSpool(fsys faultfs.FS, dir string, src stream.Source, cols int) (*Spool, int64, error) {
+	var rows int64
+	sp, err := CreateSpool(fsys, dir, "randpriv-upload-*.f64", cols, func(sink stream.Sink) error {
+		var err error
+		rows, err = Validate(src, cols, sink)
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return sp, rows, nil
 }

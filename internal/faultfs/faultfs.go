@@ -25,6 +25,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"syscall"
 )
 
@@ -98,4 +99,34 @@ func Default(fsys FS) FS {
 		return OS{}
 	}
 	return fsys
+}
+
+// WriteAtomic makes one attempt at the crash-durable commit protocol:
+// create a temp file in tmpDir named after pattern, fill it through
+// write, fsync and close it, rename it onto path, then fsync path's
+// directory — so a committed write survives power loss, not just
+// process death. A failed attempt removes its temp file before
+// returning the error; what a crash strands, the caller's startup sweep
+// reclaims. Retrying (with a fresh temp file, so write must be
+// replayable) is the caller's policy.
+func WriteAtomic(fsys FS, tmpDir, pattern, path string, write func(io.Writer) error) error {
+	tmp, err := fsys.CreateTemp(tmpDir, pattern)
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		fsys.Remove(tmp.Name())
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
 }

@@ -23,6 +23,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"randpriv/internal/faultfs"
 )
 
 // jobRecord is the persisted form of a job. Spec is stored as a JSON
@@ -159,38 +161,20 @@ func (m *Manager) adoptFile(dst, src string) error {
 	return nil
 }
 
-// writeFileAtomic writes body to path via a same-directory temp file and
-// rename, fsyncing the temp file before the rename and the directory
-// after it — the full crash-durability protocol, so a committed write
-// survives power loss, not just process death. Transient failures retry
-// the whole protocol with a fresh temp file; the failed attempt's temp
-// is removed immediately (and the startup sweep catches what a crash
-// strands).
+// writeFileAtomic writes body to path via a same-directory temp file
+// through faultfs.WriteAtomic's crash-durable commit. Transient failures
+// retry the whole protocol with a fresh temp file; the failed attempt's
+// temp is removed immediately (and the startup sweep catches what a
+// crash strands).
 func (m *Manager) writeFileAtomic(path string, body []byte) error {
-	dir := filepath.Dir(path)
 	// Persistence retries run on a background context on purpose: a job
 	// finishing while the manager closes must still commit its terminal
 	// record (the attempts are bounded, so shutdown cannot hang on it).
 	err := m.ioRetry.Do(context.Background(), func() error {
-		tmp, err := m.fs.CreateTemp(dir, tmpPrefix+"*")
-		if err != nil {
+		return faultfs.WriteAtomic(m.fs, filepath.Dir(path), tmpPrefix+"*", path, func(w io.Writer) error {
+			_, err := w.Write(body)
 			return err
-		}
-		_, err = tmp.Write(body)
-		if err == nil {
-			err = tmp.Sync()
-		}
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = m.fs.Rename(tmp.Name(), path)
-		}
-		if err != nil {
-			m.fs.Remove(tmp.Name())
-			return err
-		}
-		return m.fs.SyncDir(dir)
+		})
 	})
 	if err != nil {
 		return fmt.Errorf("jobs: write %s: %w", filepath.Base(path), err)

@@ -3,26 +3,25 @@
 // With Config.ClusterDir set, the server opens the shared state
 // directory, starts a cluster.Coordinator (with ClusterWorkers embedded
 // claim loops, so a solo node still makes progress), and uses the
-// cluster four ways:
+// cluster three ways:
 //
-//   - Plain assessment jobs submitted to POST /v1/jobs are delegated to
-//     the task queue: the upload goes into the content-addressed store,
-//     an assess task is enqueued, and any attached worker process (or an
-//     embedded claim loop) computes it. The shared result cache — keyed
-//     on the same sweep.CacheKey as the in-process LRU — serves repeats
-//     across every node that shares the directory.
-//   - Sweep jobs are partitioned at perturbation-group boundaries: one
-//     sweepgroup task per group, each executed end-to-end (perturb →
-//     shared sketch → every point's battery) by whichever node claims
-//     it, with the coordinator merging the group envelopes back in grid
-//     order. The full-grid body is byte-identical to single-process
-//     execution because both paths run the same sweep.GroupExec.
-//   - Large streamed assessments shard across the cluster twice: the
-//     disguised copy's float64 spool is cut at chunk-multiple row offsets
-//     for the moment sketch through ShardedSketch (pass 1), and the
-//     scoring pass runs as one score task per battery attack (pass 2).
-//     Both merges are bit-identical to the serial computation by
-//     construction, so these are purely accelerators.
+//   - Jobs submitted to POST /v1/jobs are compiled plans — a plain
+//     assessment is a one-point plan — and are delegated to the task
+//     queue partitioned at perturbation-group boundaries: one sweepgroup
+//     task per group, each executed end-to-end (perturb → shared sketch
+//     → every point's battery) by whichever node claims it, with the
+//     coordinator merging the group envelopes back in grid order. The
+//     result is byte-identical to single-process execution because both
+//     paths run the same sweep.GroupExec. The shared result cache —
+//     keyed on the same sweep.CacheKey as the in-process LRU — serves
+//     repeats across every node that shares the directory.
+//   - A synchronous streamed assessment hands the engine a sweep.Offload
+//     that shards it across the cluster twice: the disguised copy's
+//     float64 spool is cut at chunk-multiple row offsets for the moment
+//     sketch through ShardedSketch (pass 1), and the scoring pass runs
+//     as one score task per battery attack (pass 2). Both merges are
+//     bit-identical to the serial computation by construction, so these
+//     are purely accelerators.
 //   - GET /v1/status grows a cluster section with per-node heartbeat
 //     gauges and the task-queue depths, per task kind.
 //
@@ -47,12 +46,11 @@ import (
 	"randpriv/internal/dataset"
 	"randpriv/internal/jobs"
 	"randpriv/internal/mat"
-	"randpriv/internal/recon"
 	"randpriv/internal/stream"
 	"randpriv/internal/sweep"
 )
 
-// openCluster stands the coordinator up during New. The assess runner is
+// openCluster stands the coordinator up during New. The task runners are
 // registered on the embedded workers so a coordinator-only deployment
 // still executes delegated jobs itself.
 func (s *Server) openCluster() error {
@@ -73,9 +71,7 @@ func (s *Server) openCluster() error {
 	if err != nil {
 		return err
 	}
-	c.Register(cluster.TaskAssess, s.ClusterAssessRunner())
-	c.Register(cluster.TaskSweepGroup, s.ClusterSweepGroupRunner())
-	c.Register(cluster.TaskScore, s.ClusterScoreRunner())
+	s.RegisterRunners(c)
 	if err := c.Start(); err != nil {
 		return err
 	}
@@ -104,93 +100,16 @@ func defaultNodeID() string {
 	return fmt.Sprintf("%s-%d", b.String(), os.Getpid())
 }
 
-// ClusterAssessRunner returns the cluster.TaskRunner that executes one
-// delegated plain assessment: open the content-addressed upload, run the
-// exact runAssessment path the synchronous endpoint uses (cluster
-// sketching disabled — a task must never enqueue sub-tasks, or a lone
-// worker deadlocks on its own queue), and publish the report into the
-// shared result cache. cmd/randprivd registers it on worker-role nodes.
-func (s *Server) ClusterAssessRunner() cluster.TaskRunner {
-	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
-		var sp jobSpec
-		if err := json.Unmarshal(t.Spec, &sp); err != nil {
-			return nil, fmt.Errorf("server: decode assess task spec: %w", err)
-		}
-		if sp.Type != "" {
-			return nil, fmt.Errorf("server: assess tasks carry plain assessments only, got type %q", sp.Type)
-		}
-		if !st.HasBlob(t.Digest) {
-			return nil, fmt.Errorf("server: upload blob %s missing from the cluster store", t.Digest)
-		}
-		p := sp.params()
-		src, err := dataset.OpenCSVChunks(st.CASPath(t.Digest), p.Chunk)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		ws := s.jobWS.Get().(*mat.Workspace)
-		ws.Reset()
-		defer s.jobWS.Put(ws)
-		body, err := s.runAssessment(ctx, src, p, sp.Digest, ws, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.PutCachedResult(sweep.CacheKey(sweepParams(p), sp.Digest), body); err != nil {
-			s.cfg.Log.Printf("randprivd: cluster result cache write: %v", err)
-		}
-		return body, nil
-	}
-}
-
-// runJobViaCluster routes one plain assessment job through the task
-// queue. delegated == false means the cluster could not take the job
-// (CAS or queue trouble) and the caller must run it locally — never that
-// the assessment itself failed.
-func (s *Server) runJobViaCluster(ctx context.Context, rawSpec json.RawMessage, sp jobSpec, upload string) (body []byte, err error, delegated bool) {
-	st := s.cluster.Store()
-	key := sweep.CacheKey(sweepParams(sp.params()), sp.Digest)
-	if body, ok := st.CachedResult(key); ok {
-		return body, nil, true
-	}
-	// An open breaker short-circuits delegation entirely: the serial
-	// fallback is byte-identical, so degrading costs latency, never
-	// correctness. Only infrastructure failures (the store refusing the
-	// upload or the enqueue) feed the breaker — an assessment that fails
-	// deterministically would fail identically on the serial path and
-	// says nothing about the cluster's health.
-	now := time.Now().UTC()
-	if !s.breaker.Allow(now) {
-		s.cfg.Log.Printf("randprivd: cluster delegation breaker open (running job locally)")
-		return nil, nil, false
-	}
-	digest, perr := st.PutFile(upload)
-	if perr != nil {
-		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster store put: %v (running job locally)", perr)
-		return nil, nil, false
-	}
-	if digest != sp.Digest {
-		// The job dir and the spec disagree about the bytes; trust neither
-		// and let the local path recompute the digest's report honestly.
-		s.cfg.Log.Printf("randprivd: job upload digest %s != spec digest %s (running job locally)", digest, sp.Digest)
-		return nil, nil, false
-	}
-	task := cluster.NewAssessTask(rawSpec, digest)
-	if err := st.Enqueue(task); err != nil {
-		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster enqueue: %v (running job locally)", err)
-		return nil, nil, false
-	}
-	s.breaker.Success()
-	bodies, aerr := s.cluster.Await(ctx, []string{task.ID})
-	if aerr != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err(), true // canceled job: recomputing locally would be wasted work
-		}
-		s.cfg.Log.Printf("randprivd: cluster assess task: %v (running job locally)", aerr)
-		return nil, nil, false
-	}
-	return bodies[0], nil, true
+// RegisterRunners installs this server's runner for every cluster task
+// kind on r — a coordinator's embedded claim loops or a worker-role
+// process's claim loops. It is the one list of task kinds the cluster
+// carries: sketch, sweepgroup and score.
+func (s *Server) RegisterRunners(r interface {
+	Register(typ string, run cluster.TaskRunner)
+}) {
+	r.Register(cluster.TaskSketch, cluster.SketchShardRunner)
+	r.Register(cluster.TaskSweepGroup, s.ClusterSweepGroupRunner())
+	r.Register(cluster.TaskScore, s.ClusterScoreRunner())
 }
 
 // sweepGroupSpec is the wire form of one delegated sweep-group task: the
@@ -223,16 +142,15 @@ type groupEnvelope struct {
 }
 
 // ClusterSweepGroupRunner returns the cluster.TaskRunner that executes
-// one perturbation group of a delegated sweep end-to-end: open the
+// one perturbation group of a delegated job end-to-end: open the
 // content-addressed upload, perturb once, share the group's sketch and
 // baseline, and evaluate every point — through the same sweep.GroupExec
-// the single-process executor drives, which is what keeps the merged
-// full-grid result byte-identical. Each computed report is published to
-// the shared result cache under the same key a standalone /v1/assess
-// would use, and cache-warm points are served without recompute. The
-// runner never enqueues sub-tasks (a task spawning tasks deadlocks a
-// lone worker on its own queue). cmd/randprivd registers it on
-// worker-role nodes.
+// the single-process paths drive, which is what keeps the merged result
+// byte-identical. Each computed report is published to the shared
+// result cache under the same key a standalone /v1/assess would use,
+// and cache-warm points are served without recompute. The engine runs
+// without an Offload: a task spawning tasks deadlocks a lone worker on
+// its own queue.
 func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
 	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
 		var gs sweepGroupSpec
@@ -257,10 +175,11 @@ func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
 		wrap := func(raw stream.Source) stream.Source {
 			return stream.ContextSource{Ctx: ctx, Src: raw}
 		}
-		ge, err := sweep.NewGroupExec(sweep.Env{Reg: defaultRegistry, WS: ws}, t.Digest, gs.Stream, chunk, len(src.Names()), src, wrap)
+		ge, err := sweep.NewGroupExec(s.engine(ws), t.Digest, gs.Stream, chunk, len(src.Names()), src, wrap)
 		if err != nil {
 			return nil, err
 		}
+		defer ge.Close()
 		env := groupEnvelope{Rows: ge.Rows(), Points: make([]groupPointResult, len(gs.Points))}
 		var pending []int
 		for i, p := range gs.Points {
@@ -295,30 +214,38 @@ func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
 	}
 }
 
-// runSweepViaCluster routes a compiled sweep plan through the task
-// queue, one task per perturbation group — the plan's natural unit of
+// delegate routes a compiled plan through the task queue, one
+// sweepgroup task per perturbation group — the plan's natural unit of
 // shared work, so a delegated group still amortizes its perturbation,
-// baseline and sketch across its points exactly like the local executor.
-// The coordinator merges the group envelopes back in grid order, which
-// keeps the full-grid body byte-identical to single-process execution.
-// delegated == false means the cluster could not take the sweep (CAS or
-// queue trouble, an unreadable envelope) and the caller must run it
-// locally — never that the sweep itself failed.
-func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep.Plan, upload string, cols int, progress func(jobs.Progress)) (body []byte, err error, delegated bool) {
+// baseline and sketch across its points exactly like the local engine.
+// A scalar job's one-point plan is one such task. The envelopes come
+// back in plan order. delegated == false means the cluster could not
+// take the plan (CAS or queue trouble, a failed task, an envelope that
+// does not fit) and the caller must run it locally — never that the
+// assessment itself failed; the local result is byte-identical.
+// progress, when non-nil, ticks points and groups as tasks complete.
+func (s *Server) delegate(ctx context.Context, plan *sweep.Plan, upload, digest string, progress func(jobs.Progress)) (envs []groupEnvelope, err error, delegated bool) {
 	st := s.cluster.Store()
-	now := time.Now().UTC()
-	if !s.breaker.Allow(now) {
-		s.cfg.Log.Printf("randprivd: cluster delegation breaker open (running sweep locally)")
+	// An open breaker short-circuits delegation entirely: the serial
+	// fallback is byte-identical, so degrading costs latency, never
+	// correctness. Only infrastructure failures (the store refusing the
+	// upload or the enqueue) feed the breaker — an assessment that fails
+	// deterministically would fail identically on the serial path and
+	// says nothing about the cluster's health.
+	if !s.breaker.Allow(time.Now().UTC()) {
+		s.cfg.Log.Printf("randprivd: cluster delegation breaker open (running job locally)")
 		return nil, nil, false
 	}
-	digest, perr := st.PutFile(upload)
+	put, perr := st.PutFile(upload)
 	if perr != nil {
 		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster store put: %v (running sweep locally)", perr)
+		s.cfg.Log.Printf("randprivd: cluster store put: %v (running job locally)", perr)
 		return nil, nil, false
 	}
-	if digest != sp.Digest {
-		s.cfg.Log.Printf("randprivd: sweep upload digest %s != spec digest %s (running sweep locally)", digest, sp.Digest)
+	if put != digest {
+		// The job dir and the spec disagree about the bytes; trust neither
+		// and let the local path recompute the digest's report honestly.
+		s.cfg.Log.Printf("randprivd: job upload digest %s != spec digest %s (running job locally)", put, digest)
 		return nil, nil, false
 	}
 	ids := make([]string, len(plan.Groups))
@@ -334,7 +261,7 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 		task := cluster.NewSweepGroupTask(spec, digest)
 		if err := st.Enqueue(task); err != nil {
 			s.breaker.Failure(time.Now().UTC())
-			s.cfg.Log.Printf("randprivd: cluster enqueue: %v (running sweep locally)", err)
+			s.cfg.Log.Printf("randprivd: cluster enqueue: %v (running job locally)", err)
 			return nil, nil, false
 		}
 		ids[i] = task.ID
@@ -351,7 +278,7 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 		}
 	}
 	note()
-	envs, aerr := s.cluster.AwaitFunc(ctx, ids, func(i int, _ []byte) {
+	bodies, aerr := s.cluster.AwaitFunc(ctx, ids, func(i int, _ []byte) {
 		doneGroups++
 		donePoints += int64(len(plan.Groups[i].Points))
 		note()
@@ -360,13 +287,32 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 		if ctx.Err() != nil {
 			return nil, ctx.Err(), true // canceled job: recomputing locally would be wasted work
 		}
-		s.cfg.Log.Printf("randprivd: cluster sweep task: %v (running sweep locally)", aerr)
+		s.cfg.Log.Printf("randprivd: cluster sweepgroup task: %v (running job locally)", aerr)
 		return nil, nil, false
 	}
+	envs = make([]groupEnvelope, len(bodies))
+	for i, raw := range bodies {
+		if err := json.Unmarshal(raw, &envs[i]); err != nil {
+			s.cfg.Log.Printf("randprivd: cluster sweepgroup envelope: %v (running job locally)", err)
+			return nil, nil, false
+		}
+		if got, want := len(envs[i].Points), len(plan.Groups[i].Points); got != want {
+			s.cfg.Log.Printf("randprivd: cluster sweepgroup envelope carries %d points, want %d (running job locally)", got, want)
+			return nil, nil, false
+		}
+	}
+	return envs, nil, true
+}
 
+// mergeGroups assembles a delegated sweep's full-grid body from its
+// group envelopes, in grid order — the bytes the local executor would
+// produce — and warms the local LRU with every point's report like the
+// local executor would, so a later standalone /v1/assess for a point is
+// a cache hit here too.
+func mergeGroups(plan *sweep.Plan, envs []groupEnvelope, digest string, cols int, cache sweep.ResultCache) ([]byte, error) {
 	res := &sweep.Result{
 		Cols:                cols,
-		DatasetSHA256:       sp.Digest,
+		DatasetSHA256:       digest,
 		GridPoints:          len(plan.Points) + plan.Collapsed,
 		CollapsedDuplicates: plan.Collapsed,
 		PlannedPasses:       plan.PlannedPasses,
@@ -377,81 +323,70 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 		res.Points[i] = sweep.PointResult{Params: pt.Params, GridIndices: pt.GridIndices}
 	}
 	for i, g := range plan.Groups {
-		var env groupEnvelope
-		if err := json.Unmarshal(envs[i], &env); err != nil {
-			s.cfg.Log.Printf("randprivd: cluster sweep envelope: %v (running sweep locally)", err)
-			return nil, nil, false
-		}
-		if len(env.Points) != len(g.Points) {
-			s.cfg.Log.Printf("randprivd: cluster sweep envelope carries %d points, want %d (running sweep locally)", len(env.Points), len(g.Points))
-			return nil, nil, false
-		}
 		if res.Rows == 0 {
-			res.Rows = env.Rows
+			res.Rows = envs[i].Rows
 		}
 		for j, pi := range g.Points {
-			res.Points[pi].Report = env.Points[j].Report
-			res.Points[pi].Error = env.Points[j].Error
-			// Warm the local LRU like the local executor would, so a later
-			// standalone /v1/assess for this point is a cache hit here too.
-			if s.cache != nil && len(env.Points[j].Report) > 0 {
-				s.cache.Add(sweep.CacheKey(plan.Points[pi].Params, sp.Digest), append(append([]byte(nil), env.Points[j].Report...), '\n'))
+			pt := envs[i].Points[j]
+			res.Points[pi].Report = pt.Report
+			res.Points[pi].Error = pt.Error
+			if len(pt.Report) > 0 {
+				cache.Add(sweep.CacheKey(plan.Points[pi].Params, digest), append(append([]byte(nil), pt.Report...), '\n'))
 			}
 		}
 	}
-	body, merr := sweep.MarshalResult(res)
-	if merr != nil {
-		return nil, nil, false
-	}
-	return body, nil, true
+	return sweep.MarshalResult(res)
 }
 
-// clusterSketch builds the core.SketchFn for a streamed assessment's
-// shared pass 1: shard the disguised float64 spool at path across alive
-// workers, fall back to the serial sketch over disg (a source over the
-// same spool) on any error. Both branches are bit-identical to
-// recon.SketchSource over the same chunk partition, so the report bytes
-// cannot depend on which one ran.
+// clusterOffload is the sweep.Offload the synchronous /v1/assess path
+// hands the engine in cluster mode: it shards a streamed point's shared
+// sketch and its scoring pass across the cluster's workers. Each
+// attempt is deadline-bounded by ClusterDelegateTimeout and gated by the
+// delegation breaker, and falls back to the byte-identical serial path
+// on any error.
+type clusterOffload struct{ s *Server }
+
+// Sketch builds the shared pass-1 sketch: shard the disguised float64
+// spool at path across alive workers, or fall back to serial. Both
+// branches are bit-identical to recon.SketchSource over the same chunk
+// partition, so the report bytes cannot depend on which one ran.
 //
-// The sharded attempt is deadline-bounded by ClusterDelegateTimeout and
-// gated by the delegation breaker: a cluster losing its workers mid-pass
-// costs one bounded wait, trips the breaker, and every following sketch
-// goes serial immediately until the cooldown expires. Every sharding
-// error feeds the breaker — unlike job delegation there is no ambiguity,
-// because the serial path computes the identical moments either way.
-func (s *Server) clusterSketch(ctx context.Context, disg stream.Source, path string, chunk int) core.SketchFn {
-	serial := func() (*stream.Moments, error) { return recon.SketchSource(disg) }
-	return func() (*stream.Moments, error) {
-		now := time.Now().UTC()
-		if !s.breaker.Allow(now) {
-			return serial()
-		}
-		shards := s.cluster.AliveWorkers(now)
-		if shards < 1 {
-			shards = 1
-		}
-		sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
-		mo, err := s.cluster.ShardedSketch(sctx, path, chunk, shards)
-		cancel()
-		if err == nil {
-			s.breaker.Success()
-			return mo, nil
-		}
-		if ctx.Err() != nil {
-			// The request itself died; that is the caller's deadline, not
-			// the cluster's fault.
-			return nil, ctx.Err()
-		}
-		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster sketch fell back to serial: %v", err)
+// A cluster losing its workers mid-pass costs one bounded wait, trips
+// the breaker, and every following sketch goes serial immediately until
+// the cooldown expires. Every sharding error feeds the breaker — unlike
+// job delegation there is no ambiguity, because the serial path computes
+// the identical moments either way.
+func (o clusterOffload) Sketch(ctx context.Context, path string, chunk int, serial core.SketchFn) (*stream.Moments, error) {
+	s := o.s
+	now := time.Now().UTC()
+	if !s.breaker.Allow(now) {
 		return serial()
 	}
+	shards := s.cluster.AliveWorkers(now)
+	if shards < 1 {
+		shards = 1
+	}
+	sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
+	mo, err := s.cluster.ShardedSketch(sctx, path, chunk, shards)
+	cancel()
+	if err == nil {
+		s.breaker.Success()
+		return mo, nil
+	}
+	if ctx.Err() != nil {
+		// The request itself died; that is the caller's deadline, not
+		// the cluster's fault.
+		return nil, ctx.Err()
+	}
+	s.breaker.Failure(time.Now().UTC())
+	s.cfg.Log.Printf("randprivd: cluster sketch fell back to serial: %v", err)
+	return serial()
 }
 
 // scoreSpec is the wire form of one delegated scoring work unit: one
 // attack of a streamed assessment's second pass, against the
-// content-addressed (original, disguised) pair. The task digest is the
-// original CSV upload's; the disguised copy travels as a float64 spool
+// content-addressed (original, disguised) pair of float64 spools. The
+// task digest is the original spool's; the disguised spool travels
 // under its own digest. The NDR baseline is computed once on the
 // coordinator and shipped in the spec — float64 round-trips exactly
 // through encoding/json, so the worker's report fragment is
@@ -498,7 +433,7 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 		if !st.HasBlob(sc.DisgDigest) {
 			return nil, fmt.Errorf("server: disguised blob %s missing from the cluster store", sc.DisgDigest)
 		}
-		orig, err := dataset.OpenCSVChunks(st.CASPath(t.Digest), sc.Params.Chunk)
+		orig, err := dataset.OpenSpool(st.CASPath(t.Digest), sc.Params.Chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -511,7 +446,7 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 		ws := s.jobWS.Get().(*mat.Workspace)
 		ws.Reset()
 		defer s.jobWS.Put(ws)
-		env := sweep.Env{Reg: defaultRegistry, WS: ws}
+		env := s.engine(ws)
 		origSrc := stream.ContextSource{Ctx: ctx, Src: orig}
 		disgSrc := stream.ContextSource{Ctx: ctx, Src: disg}
 		p := sc.Params
@@ -537,6 +472,9 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if err := orig.Err(); err != nil {
+			return nil, err
+		}
 		if err := disg.Err(); err != nil {
 			return nil, err
 		}
@@ -552,30 +490,29 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 	}
 }
 
-// clusterScore shards the second pass of a large streamed assessment:
-// one score task per battery attack, each reconstructing against the
-// content-addressed (original, disguised) pair on whichever node claims
-// it. The merged report reproduces the serial evaluator's ordering via
-// core.SortResults — a total order over distinct attack names — so the
-// response bytes cannot depend on task completion order. ok == false
-// means the caller must score serially (single-attack battery, breaker
-// open, or any infrastructure failure); both paths are byte-identical,
-// so falling back costs latency, never correctness. origCSV is the
-// original upload as the client sent it; orig and disg are the sources
-// the serial path would scan, which the NDR baseline is computed from
-// here, once.
-func (s *Server) clusterScore(ctx context.Context, origCSV string, orig, disg stream.Source, disgPath string, bd core.BuiltDefense, p requestParams) (*core.PrivacyReport, bool) {
-	modes := sweep.AttackModes(sweepParams(p), bd.Noise)
-	if len(modes) < 2 || origCSV == "" {
-		return nil, false // nothing to fan out, or a reader-backed upload the CAS cannot adopt
+// Score shards a streamed point's scoring pass: one score task per
+// battery attack, each reconstructing against the content-addressed
+// (original, disguised) spool pair on whichever node claims it, with
+// the group's NDR baseline shipped in the spec (float64 round-trips
+// exactly through encoding/json). The merged report reproduces the
+// serial evaluator's ordering via core.SortResults — a total order over
+// distinct attack names — so the response bytes cannot depend on task
+// completion order. ok == false means the engine must score serially
+// (single-attack battery, breaker open, or any infrastructure failure);
+// both paths are byte-identical, so falling back costs latency, never
+// correctness.
+func (o clusterOffload) Score(ctx context.Context, p sweep.Params, bd core.BuiltDefense, orig, disg string, ndr float64) (*core.PrivacyReport, bool) {
+	s := o.s
+	modes := sweep.AttackModes(p, bd.Noise)
+	if len(modes) < 2 {
+		return nil, false // nothing to fan out
 	}
-	now := time.Now().UTC()
-	if !s.breaker.Allow(now) {
+	if !s.breaker.Allow(time.Now().UTC()) {
 		return nil, false
 	}
 	sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
 	defer cancel()
-	rep, err := s.clusterScoreAttempt(sctx, origCSV, orig, disg, disgPath, bd, p, modes)
+	rep, err := s.scoreAttempt(sctx, p, bd, orig, disg, ndr, modes)
 	if err == nil {
 		s.breaker.Success()
 		return rep, true
@@ -589,30 +526,21 @@ func (s *Server) clusterScore(ctx context.Context, origCSV string, orig, disg st
 	return nil, false
 }
 
-func (s *Server) clusterScoreAttempt(ctx context.Context, origCSV string, orig, disg stream.Source, disgPath string, bd core.BuiltDefense, p requestParams, modes []string) (*core.PrivacyReport, error) {
+func (s *Server) scoreAttempt(ctx context.Context, p sweep.Params, bd core.BuiltDefense, orig, disg string, ndr float64, modes []string) (*core.PrivacyReport, error) {
 	st := s.cluster.Store()
-	origDigest, err := st.PutFile(origCSV)
+	origDigest, err := st.PutFile(orig)
 	if err != nil {
 		return nil, err
 	}
-	disgDigest, err := st.PutFile(disgPath)
+	disgDigest, err := st.PutFile(disg)
 	if err != nil {
 		return nil, err
 	}
-	// The baseline pass runs here, once — the same two streams the serial
-	// evaluator would scan, so the shipped float is the identical value.
-	baseline, err := core.StreamNDRBaseline(
-		stream.ContextSource{Ctx: ctx, Src: orig},
-		stream.ContextSource{Ctx: ctx, Src: disg})
-	if err != nil {
-		return nil, err
-	}
-	base := sweepParams(p)
 	ids := make([]string, len(modes))
 	for i, mode := range modes {
-		sp := base
+		sp := p
 		sp.Attacks = []string{mode}
-		spec, merr := json.Marshal(scoreSpec{Params: sp, Attack: mode, DisgDigest: disgDigest, Baseline: baseline})
+		spec, merr := json.Marshal(scoreSpec{Params: sp, Attack: mode, DisgDigest: disgDigest, Baseline: ndr})
 		if merr != nil {
 			return nil, merr
 		}
@@ -628,7 +556,7 @@ func (s *Server) clusterScoreAttempt(ctx context.Context, origCSV string, orig, 
 	}
 	rep := &core.PrivacyReport{
 		Scheme:      fmt.Sprintf("%s (streaming, %d-row chunks)", bd.Scheme.Describe(), p.Chunk),
-		NDRBaseline: baseline,
+		NDRBaseline: ndr,
 	}
 	for _, raw := range envs {
 		var e scoreEnvelope
@@ -670,9 +598,9 @@ type clusterStatus struct {
 	// many times the breaker has opened since the server started.
 	Degraded     bool  `json:"degraded"`
 	BreakerTrips int64 `json:"breaker_trips"`
-	// TasksByKind breaks the queue depths down per task kind (assess,
-	// sweepgroup, score, sketch), so an operator can see which plane is
-	// backed up. Kinds with no tasks on disk are absent.
+	// TasksByKind breaks the queue depths down per task kind (sketch,
+	// sweepgroup, score), so an operator can see which plane is backed
+	// up. Kinds with no tasks on disk are absent.
 	TasksByKind map[string]cluster.KindStats `json:"tasks_by_kind,omitempty"`
 	Nodes       []clusterNodeStatus          `json:"nodes"`
 }

@@ -60,10 +60,7 @@ func externalWorker(t *testing.T, dir, node string, hooks cluster.WorkerHooks) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(cluster.TaskSketch, cluster.SketchShardRunner)
-	w.Register(cluster.TaskAssess, compute.ClusterAssessRunner())
-	w.Register(cluster.TaskSweepGroup, compute.ClusterSweepGroupRunner())
-	w.Register(cluster.TaskScore, compute.ClusterScoreRunner())
+	compute.RegisterRunners(w)
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -317,3 +317,52 @@ func TestClusterQuotedHeaderKeepsBreakerClosed(t *testing.T) {
 		t.Error("/healthz reports degraded after quoted-header assessments")
 	}
 }
+
+// TestDelegatedJobIsOnePointGroup: in cluster mode a plain job runs as a
+// one-point sweepgroup task — the cluster has no other kind that runs an
+// assessment — and a parameter rejection inside that task fails the job
+// with the message the synchronous path answers for the same request.
+func TestDelegatedJobIsOnePointGroup(t *testing.T) {
+	in := testCSV(t, 200, 4, 2, 9)
+	const q = "?sigma=1e308&seed=1&chunk=32"
+	_, plain := newTestServer(t, Config{CacheEntries: -1})
+	status, _, out := post(t, plain, "/v1/assess"+q, in)
+	var env struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(out, &env); err != nil || status != http.StatusBadRequest {
+		t.Fatalf("sync %s: status %d body %s, want a 400 envelope", q, status, out)
+	}
+
+	_, ts := newTestServer(t, clusterConfig(t, 1))
+	js := submitJob(t, ts, q, in)
+	final := waitJob(t, ts, js.ID)
+	if final.State != "failed" || final.Error != env.Error {
+		t.Errorf("delegated job: state %s error %q, want failed with %q", final.State, final.Error, env.Error)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Cluster *struct {
+			TasksByKind map[string]struct {
+				Done int `json:"done"`
+			} `json:"tasks_by_kind"`
+		} `json:"cluster"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cluster == nil {
+		t.Fatal("/v1/status has no cluster section")
+	}
+	if got := st.Cluster.TasksByKind["sweepgroup"].Done; got != 1 {
+		t.Errorf("sweepgroup tasks done = %d, want 1: the job was not delegated as a one-point group", got)
+	}
+	if len(st.Cluster.TasksByKind) != 1 {
+		t.Errorf("task kinds = %v, want only sweepgroup", st.Cluster.TasksByKind)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -34,21 +35,13 @@ const (
 var defaultRegistry = core.Builtins()
 
 // requestParams are the decoded query parameters shared by the compute
-// endpoints. Defaults mirror the CLI: σ=5, seed=1, additive scheme.
+// endpoints: an assessment's sweep.Params plus the two keys only
+// /v1/attack takes. Defaults mirror the CLI: σ=5, seed=1, additive
+// scheme.
 type requestParams struct {
-	Sigma       float64  // noise standard deviation
-	Seed        int64    // RNG seed (perturb/assess)
-	Scheme      string   // defense mode from the registry (perturb/assess)
-	Attack      string   // attack mode from the registry (attack)
-	Chunk       int      // streaming chunk rows
-	Stream      bool     // assess: streaming battery instead of in-memory
-	Correlated  bool     // attack: shape the assumed noise from the data
-	Attacks     []string // assess: explicit battery selection (empty = default)
-	Utility     []string // assess: utility probes to run after the battery
-	Epsilon     float64  // dp-* schemes: privacy budget ε
-	Delta       float64  // dp-gaussian scheme: failure probability δ
-	Sensitivity float64  // dp-* schemes: per-entry query sensitivity
-	K           int      // kmeans probe: cluster count (0 = probe default)
+	sweep.Params
+	Attack     string // attack mode from the registry (attack)
+	Correlated bool   // attack: shape the assumed noise from the data
 }
 
 // Request-size bounds, shared with the sweep spec validation so the two
@@ -57,17 +50,6 @@ const (
 	maxChunkRows = sweep.MaxChunkRows // caps ?chunk= against hostile chunk-buffer sizes
 	maxClusterK  = sweep.MaxClusterK  // caps ?k=: clustering probes are O(n·k) per iteration
 )
-
-// sweepParams maps decoded query parameters onto the sweep engine's
-// point parameters — the compute-relevant subset every assessment is
-// identified by.
-func sweepParams(p requestParams) sweep.Params {
-	return sweep.Params{
-		Sigma: p.Sigma, Seed: p.Seed, Scheme: p.Scheme, Chunk: p.Chunk, Stream: p.Stream,
-		Attacks: p.Attacks, Utility: p.Utility,
-		Epsilon: p.Epsilon, Delta: p.Delta, Sensitivity: p.Sensitivity, K: p.K,
-	}
-}
 
 // splitModes parses a comma-separated operator list, rejecting empty
 // items and duplicates (a repeated mode would run — and be billed and
@@ -241,8 +223,11 @@ func containsMode(modes []string, want string) bool {
 // endpoint's parameter set, and tags failures as 400s.
 func (s *Server) decodeParams(r *http.Request, allowed ...string) (requestParams, error) {
 	defaults := requestParams{
-		Sigma: 5, Seed: 1, Scheme: schemeAdditive, Attack: "pcadr", Chunk: s.cfg.ChunkRows,
-		Epsilon: 1, Delta: 1e-5, Sensitivity: 1,
+		Params: sweep.Params{
+			Sigma: sweep.DefaultSigma, Seed: sweep.DefaultSeed, Scheme: schemeAdditive, Chunk: s.cfg.ChunkRows,
+			Epsilon: sweep.DefaultEpsilon, Delta: sweep.DefaultDelta, Sensitivity: sweep.DefaultSensitivity,
+		},
+		Attack: "pcadr",
 	}
 	p, err := parseRequestParams(r.URL.Query(), defaults, allowed...)
 	if err != nil {
@@ -267,63 +252,10 @@ func (s *Server) spoolAndOpen(r *http.Request, chunk int) (*upload, *dataset.Chu
 	return up, src, nil
 }
 
-// validated is an upload after its validation pass: the float64 spool
-// of its rows and a chunked source over that spool, in the request's
-// chunk partition. Close releases both.
-type validated struct {
-	spool *f64Spool
-	src   *dataset.SpoolSource
-	rows  int64
-}
-
-func (v *validated) Close() {
-	v.src.Close()
-	v.spool.Remove()
-}
-
-// validateUpload runs the fail-fast pass, the only CSV decode an upload
-// gets: it streams every chunk once so malformed CSV surfaces as a clean
-// 400 before any response bytes are written, and writes the rows into a
-// float64 spool that every later pass reads instead. Empty data sets are
-// rejected here for the same reason — every downstream consumer would.
-// A spool that cannot be written or reopened is a storage fault and
-// keeps its 5xx status.
-func (s *Server) validateUpload(src stream.Source, cols, chunk int) (*validated, error) {
-	var rows int64
-	sp, err := writeSpool(s.fs, s.cfg.SpoolDir, "randprivd-*.f64", cols, func(sink stream.Sink) error {
-		if err := src.Reset(); err != nil {
-			return err
-		}
-		for {
-			chunk, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return badRequest(err)
-			}
-			if err := stream.ValidateChunk(chunk, rows); err != nil {
-				return badRequest(err)
-			}
-			if err := sink.Append(chunk); err != nil {
-				return err
-			}
-			rows += int64(chunk.Rows())
-		}
-		if rows == 0 {
-			return badRequest(fmt.Errorf("server: empty data set (%d rows, %d columns)", rows, cols))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	spSrc, err := sp.open(chunk)
-	if err != nil {
-		sp.Remove()
-		return nil, err
-	}
-	return &validated{spool: sp, src: spSrc, rows: rows}, nil
+// engine returns the assessment engine on this server's spool dir and
+// filesystem, with ws as its scratch workspace.
+func (s *Server) engine(ws *mat.Workspace) sweep.Env {
+	return sweep.Env{Reg: defaultRegistry, WS: ws, FS: s.fs, SpoolDir: s.cfg.SpoolDir}
 }
 
 // buildDefense constructs the requested defense through the sweep
@@ -332,7 +264,7 @@ func (s *Server) validateUpload(src stream.Source, cols, chunk int) (*validated,
 // cancellation) problem and keeps its 500-family status, while every
 // other build error comes back as a *sweep.ParamError and maps to 400.
 func buildDefense(p requestParams, src stream.Source) (core.BuiltDefense, error) {
-	return sweep.Env{Reg: defaultRegistry}.BuildDefense(sweepParams(p), func() (*mat.Dense, error) {
+	return sweep.Env{Reg: defaultRegistry}.BuildDefense(p.Params, func() (*mat.Dense, error) {
 		mo, err := stream.Accumulate(src, 1)
 		if err != nil {
 			return nil, fmt.Errorf("server: covariance pass: %w", err)
@@ -384,12 +316,17 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) error {
 	defer up.Remove()
 	defer src.Close()
 	return s.pool.Do(r.Context(), func(_ *mat.Workspace) error {
-		v, err := s.validateUpload(stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()), p.Chunk)
+		origSpool, _, err := dataset.ValidateSpool(s.fs, s.cfg.SpoolDir, stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()))
 		if err != nil {
 			return err
 		}
-		defer v.Close()
-		cs := stream.ContextSource{Ctx: r.Context(), Src: v.src}
+		defer origSpool.Remove()
+		orig, err := origSpool.Open(p.Chunk)
+		if err != nil {
+			return err
+		}
+		defer orig.Close()
+		cs := stream.ContextSource{Ctx: r.Context(), Src: orig}
 		bd, err := buildDefense(p, cs)
 		if err != nil {
 			return err
@@ -397,14 +334,14 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) error {
 		// Perturb into a spool first: sweep.Perturb rejects an
 		// overflowing defense at any row, and the rejection must come
 		// before the first CSV byte, as it does on /v1/assess.
-		disgSpool, err := writeSpool(s.fs, s.cfg.SpoolDir, "randprivd-disg-*.f64", len(src.Names()), func(sink stream.Sink) error {
+		disgSpool, err := dataset.CreateSpool(s.fs, s.cfg.SpoolDir, "randpriv-disg-*.f64", len(src.Names()), func(sink stream.Sink) error {
 			return sweep.Perturb(bd, p.Seed, cs, sink)
 		})
 		if err != nil {
 			return err
 		}
 		defer disgSpool.Remove()
-		disg, err := disgSpool.open(p.Chunk)
+		disg, err := disgSpool.Open(p.Chunk)
 		if err != nil {
 			return err
 		}
@@ -482,12 +419,17 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) error {
 	defer up.Remove()
 	defer src.Close()
 	return s.pool.Do(r.Context(), func(ws *mat.Workspace) error {
-		v, err := s.validateUpload(stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()), p.Chunk)
+		origSpool, _, err := dataset.ValidateSpool(s.fs, s.cfg.SpoolDir, stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()))
 		if err != nil {
 			return err
 		}
-		defer v.Close()
-		cs := stream.ContextSource{Ctx: r.Context(), Src: v.src}
+		defer origSpool.Remove()
+		orig, err := origSpool.Open(p.Chunk)
+		if err != nil {
+			return err
+		}
+		defer orig.Close()
+		cs := stream.ContextSource{Ctx: r.Context(), Src: orig}
 		attack, err := buildAttack(p, cs, ws)
 		if err != nil {
 			return err
@@ -498,15 +440,6 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) error {
 		}
 		return sink.Flush()
 	})
-}
-
-// assessCacheKey identifies a fitted assessment: every parameter that can
-// change a single response byte — scheme, σ, seed, chunking, battery and
-// probe selection, DP calibration and the dataset digest — is part of
-// the key. It is sweep.CacheKey, shared so a sweep grid point populates
-// (and is served by) the same cache entries as a standalone request.
-func assessCacheKey(p requestParams, digest string) string {
-	return sweep.CacheKey(sweepParams(p), digest)
 }
 
 // handleAssess runs the paper's full loop on an uploaded original data
@@ -534,7 +467,9 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) error {
 	defer up.Remove()
 	defer src.Close()
 
-	key := assessCacheKey(p, up.digest)
+	// The LRU key is sweep.CacheKey, so a sweep grid point populates (and
+	// is served by) the same entries as a standalone request.
+	key := sweep.CacheKey(p.Params, up.digest)
 	if body, ok := s.cache.Get(key); ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "hit")
@@ -556,8 +491,12 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) error {
 
 	var body []byte
 	err = s.pool.Do(r.Context(), func(ws *mat.Workspace) error {
+		env := s.engine(ws)
+		if s.cluster != nil {
+			env.Offload = clusterOffload{s}
+		}
 		var err error
-		body, err = s.runAssessment(r.Context(), src, p, up.digest, ws, nil, true)
+		body, err = s.assessOne(r.Context(), env, src, p.Params, up.digest, nil)
 		return err
 	})
 	if err != nil {
@@ -582,41 +521,24 @@ var assessParamKeys = []string{
 	"attacks", "utility", "epsilon", "delta", "sensitivity", "k",
 }
 
-// passesFor counts how many full passes the assessment makes over its
-// two chunk streams — sweep.PassesFor, the same accounting the planner
-// quotes its amortization win against. runAssessment turns this into the
-// progress denominator; the job lifecycle test asserts chunks_done ==
-// chunks_total at completion, so a change to the pass structure — or a
-// registered StreamPasses that lies about its attack — fails loudly
-// instead of silently skewing every progress bar.
-func passesFor(p requestParams) int64 {
-	return sweep.PassesFor(defaultRegistry, sweepParams(p))
-}
-
-// runAssessment is the single compute path behind both the synchronous
-// /v1/assess handler and the async job runner: validate the upload, run
-// the battery in the requested mode, and marshal the report. Because
-// both entry points run exactly these bytes through exactly this code
-// with a request-seeded RNG, a job's stored result is byte-identical to
-// the synchronous response for the same (CSV, params, seed) — including
-// after a crash and re-run.
+// assessOne is the single compute path behind /v1/assess and every
+// scalar job: it compiles p into a one-point plan and runs it through
+// the sweep engine — validate the upload, perturb, run the battery,
+// marshal the report — exactly as a sweep runs its grid points. That is
+// why a job's stored result, a sweep point and the synchronous response
+// are byte-identical for the same (CSV, params, seed), including after
+// a crash and re-run.
 //
 // progress, when non-nil, receives cumulative chunk counts across every
-// streaming pass (the async status endpoint's chunks_done/chunks_total);
-// the total becomes known right after the validation pass.
-//
-// shardable allows a streamed assessment to delegate its sketch pass to
-// the cluster. It is only honored with nil progress (the sharded pass
-// bypasses the chunk counters, which would break the chunks_done ==
-// chunks_total invariant) and must be false inside a cluster task runner
-// (a task enqueuing sub-tasks deadlocks a lone worker on its own queue).
-func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p requestParams, digest string, ws *mat.Workspace, progress func(done, total int64), shardable bool) ([]byte, error) {
-	var done, total int64
-	note := func() {
-		if progress != nil {
-			progress(done, total)
-		}
+// pass the engine makes (the async status endpoint's
+// chunks_done/chunks_total): the total, ceil(rows/chunk) × the plan's
+// PlannedPasses, becomes known right after the validation pass.
+func (s *Server) assessOne(ctx context.Context, env sweep.Env, src *dataset.ChunkSource, p sweep.Params, digest string, progress func(done, total int64)) ([]byte, error) {
+	plan, err := sweep.Compile(defaultRegistry, []sweep.Params{p})
+	if err != nil {
+		return nil, err
 	}
+	var done, total int64
 	wrap := func(raw stream.Source) stream.Source {
 		ctxd := stream.ContextSource{Ctx: ctx, Src: raw}
 		if progress == nil {
@@ -624,139 +546,27 @@ func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p 
 		}
 		return &stream.CountingSource{Src: ctxd, OnChunk: func(chunks, rows int64) {
 			done++
-			note()
+			progress(done, total)
 		}}
 	}
-	names := src.Names()
-	v, err := s.validateUpload(wrap(src), len(names), p.Chunk)
+	ge, err := sweep.NewGroupExec(env, digest, p.Stream, p.Chunk, len(src.Names()), src, wrap)
 	if err != nil {
 		return nil, err
 	}
-	defer v.Close()
-	chunk := int64(p.Chunk)
-	total = (v.rows + chunk - 1) / chunk * passesFor(p)
-	note()
-	rep, utilities, err := s.assess(ctx, v.src, src.Path(), p, ws, wrap, shardable && progress == nil)
+	defer ge.Close()
+	if progress != nil {
+		chunk := int64(p.Chunk)
+		total = (ge.Rows() + chunk - 1) / chunk * plan.PlannedPasses
+		progress(done, total)
+	}
+	out, err := ge.Run(ctx, plan.Groups[0].Key, []sweep.Params{p})
 	if err != nil {
 		return nil, err
 	}
-	// A context that died mid-battery is absorbed by the evaluators into
-	// per-attack error fields ("context canceled" as a result!). That
-	// must fail the whole assessment: the synchronous path would
-	// otherwise cache and serve a half-run report, and a job would be
-	// marked done with one — breaking the byte-equality contract when a
-	// shutdown races job completion.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if out[0].Err != "" {
+		return nil, badRequest(errors.New(out[0].Err))
 	}
-	return sweep.MarshalReport(rep, utilities, sweepParams(p), v.rows, len(names), digest)
-}
-
-// assess perturbs the validated original into a disguised float64 spool
-// and runs the attack battery against it, in the requested mode. wrap
-// decorates every source the battery reads with the caller's
-// cancellation and progress accounting. origCSV is the original upload's
-// backing CSV file ("" for reader-backed sources) — the handle a
-// shardable streamed assessment uses to put the original into the
-// cluster's content-addressed store.
-func (s *Server) assess(ctx context.Context, orig *dataset.SpoolSource, origCSV string, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, shardable bool) (*core.PrivacyReport, []core.UtilityResult, error) {
-	origSrc := wrap(orig)
-	bd, err := buildDefense(p, origSrc)
-	if err != nil {
-		return nil, nil, err
-	}
-	disgSpool, err := writeSpool(s.fs, s.cfg.SpoolDir, "randprivd-disg-*.f64", orig.Cols(), func(sink stream.Sink) error {
-		return sweep.Perturb(bd, p.Seed, origSrc, sink)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer disgSpool.Remove()
-	disg, err := disgSpool.open(p.Chunk)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer disg.Close()
-
-	var rep *core.PrivacyReport
-	var utilities []core.UtilityResult
-	if p.Stream {
-		rep, err = s.assessStream(ctx, origSrc, wrap(disg), origCSV, disgSpool, bd, p, ws, shardable)
-	} else {
-		rep, utilities, err = s.assessMemory(ctx, origSrc, wrap(disg), bd, p, ws)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	// The battery files a failed read under the attack that made it. A
-	// spool read that failed is a storage fault, not an attack outcome:
-	// the report must be neither served nor cached.
-	if err := orig.Err(); err != nil {
-		return nil, nil, err
-	}
-	if err := disg.Err(); err != nil {
-		return nil, nil, err
-	}
-	return rep, utilities, nil
-}
-
-// assessStream runs the out-of-core battery through the sweep engine:
-// NDR baseline plus the selected streamable attacks, never materializing
-// either data set. nil baseline means this single point computes its own
-// NDR, exactly as a one-point sweep group would. The sketch is nil
-// (every attack runs its own pass 1) unless the cluster may shard it —
-// either way the attacks see bit-identical moments, so the report bytes
-// do not depend on the path taken.
-//
-// A shardable multi-attack battery first tries to delegate the whole
-// scoring pass: one score task per attack, merged through the canonical
-// result ordering. That too is byte-identical to the serial battery by
-// construction, and any failure falls through to the serial path (with
-// at most a sharded sketch).
-func (s *Server) assessStream(ctx context.Context, orig, disg stream.Source, origCSV string, disgSpool *f64Spool, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, shardable bool) (*core.PrivacyReport, error) {
-	var sketch core.SketchFn
-	if shardable && s.cluster != nil {
-		if rep, ok := s.clusterScore(ctx, origCSV, orig, disg, disgSpool.path, bd, p); ok {
-			return rep, nil
-		}
-		sketch = s.clusterSketch(ctx, disg, disgSpool.path, p.Chunk)
-	}
-	env := sweep.Env{Reg: defaultRegistry, WS: ws}
-	return env.EvaluateStreamPoint(sweepParams(p), orig, disg, bd, nil, sketch)
-}
-
-// assessMemory loads both copies, runs the selected battery (including
-// the attacks that need resident data), then prices the defense with the
-// requested utility probes on the same resident pair.
-func (s *Server) assessMemory(ctx context.Context, orig, disg stream.Source, bd core.BuiltDefense, p requestParams, ws *mat.Workspace) (*core.PrivacyReport, []core.UtilityResult, error) {
-	collect := func(src stream.Source) (*mat.Dense, error) {
-		if err := src.Reset(); err != nil {
-			return nil, err
-		}
-		var col stream.Collector
-		for {
-			chunk, err := src.Next()
-			if err == io.EOF {
-				return col.Data, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := col.Append(chunk); err != nil {
-				return nil, err
-			}
-		}
-	}
-	origData, err := collect(orig)
-	if err != nil {
-		return nil, nil, err
-	}
-	disgData, err := collect(disg)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := sweep.Env{Reg: defaultRegistry, WS: ws}
-	return env.EvaluateMemoryPoint(ctx, sweepParams(p), origData, disgData, bd)
+	return out[0].Body, nil
 }
 
 // handleHealthz reports liveness only: GET /healthz. "degraded" is true

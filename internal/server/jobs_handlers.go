@@ -9,8 +9,8 @@
 //	GET    /v1/jobs/{id}/result the stored report (409 until done)
 //	DELETE /v1/jobs/{id}        cancel (cooperatively) and remove
 //
-// A plain CSV body runs one assessment through the same runAssessment
-// the synchronous path uses; a multipart/form-data body carrying a
+// A plain CSV body runs one assessment through the same assessOne the
+// synchronous path uses; a multipart/form-data body carrying a
 // "spec" JSON part and a "data" CSV part runs a whole parameter grid
 // through the sweep planner's shared-scan plan, with per-grid-point
 // progress. Either way the compute runs on the jobs.Manager's own
@@ -25,6 +25,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -42,24 +43,16 @@ import (
 // jobSpec is the durable form of an assessment job's parameters — the
 // exact fields that can change a response byte, plus the upload digest
 // the report embeds. It is what jobs.Manager persists and hands back to
-// the runner after a restart.
+// the runner after a restart. The embedded sweep.Params marshals its
+// fields in the order and under the names stored specs use, so stored
+// specs keep decoding and a plain job's spec bytes stay stable (plain
+// jobs always carry ε, δ and sensitivity, which sweep.Params never
+// omits).
 type jobSpec struct {
 	// Type discriminates the job kind: "" (pre-sweep specs and plain
 	// assessment submissions) runs one assessment, "sweep" a whole grid.
-	Type   string  `json:"type,omitempty"`
-	Sigma  float64 `json:"sigma"`
-	Seed   int64   `json:"seed"`
-	Scheme string  `json:"scheme"`
-	Chunk  int     `json:"chunk"`
-	Stream bool    `json:"stream"`
-	// Registry-era fields; omitempty keeps pre-registry specs readable
-	// and newly written specs for legacy parameter sets byte-compatible.
-	Attacks     []string `json:"attacks,omitempty"`
-	Utility     []string `json:"utility,omitempty"`
-	Epsilon     float64  `json:"epsilon,omitempty"`
-	Delta       float64  `json:"delta,omitempty"`
-	Sensitivity float64  `json:"sensitivity,omitempty"`
-	K           int      `json:"k,omitempty"`
+	Type string `json:"type,omitempty"`
+	sweep.Params
 	// Sweep is the raw sweep spec for Type == "sweep", byte-exact as
 	// submitted (the grid expansion is deterministic over these bytes,
 	// so a recovered job re-plans the identical sweep). Chunk holds the
@@ -67,23 +60,6 @@ type jobSpec struct {
 	// plan must not move if the server default changes across a restart.
 	Sweep  json.RawMessage `json:"sweep,omitempty"`
 	Digest string          `json:"digest"`
-}
-
-func specFromParams(p requestParams, digest string) jobSpec {
-	return jobSpec{
-		Sigma: p.Sigma, Seed: p.Seed, Scheme: p.Scheme, Chunk: p.Chunk, Stream: p.Stream,
-		Attacks: p.Attacks, Utility: p.Utility,
-		Epsilon: p.Epsilon, Delta: p.Delta, Sensitivity: p.Sensitivity, K: p.K,
-		Digest: digest,
-	}
-}
-
-func (sp jobSpec) params() requestParams {
-	return requestParams{
-		Sigma: sp.Sigma, Seed: sp.Seed, Scheme: sp.Scheme, Chunk: sp.Chunk, Stream: sp.Stream,
-		Attacks: sp.Attacks, Utility: sp.Utility,
-		Epsilon: sp.Epsilon, Delta: sp.Delta, Sensitivity: sp.Sensitivity, K: sp.K,
-	}
 }
 
 // runJob is the jobs.Runner: it re-opens the spooled upload and pushes
@@ -103,18 +79,28 @@ func (s *Server) runJob(ctx context.Context, spec json.RawMessage, upload string
 		return s.runSweepJob(ctx, sp, upload, ws, progress)
 	}
 	// In cluster mode a plain assessment is delegated to the shared task
-	// queue, where any attached worker process may compute it (and the
-	// shared result cache serves repeats from every node). Delegation
-	// failing for infrastructure reasons falls back to the local path —
-	// the results are byte-identical either way. Delegated jobs report no
-	// chunk progress; their chunks tick on whichever node runs them.
+	// queue as a one-point sweepgroup task, where any attached worker
+	// process may compute it. Delegation failing for infrastructure
+	// reasons falls back to the local path — the results are
+	// byte-identical either way. Delegated jobs report no chunk progress;
+	// their chunks tick on whichever node runs them.
 	if s.cluster != nil {
-		if body, err, delegated := s.runJobViaCluster(ctx, spec, sp, upload); delegated {
-			return body, err
+		plan, err := sweep.Compile(defaultRegistry, []sweep.Params{sp.Params})
+		if err != nil {
+			return nil, err
+		}
+		if envs, err, delegated := s.delegate(ctx, plan, upload, sp.Digest, nil); delegated {
+			if err != nil {
+				return nil, err
+			}
+			pt := envs[0].Points[0]
+			if pt.Error != "" {
+				return nil, errors.New(pt.Error)
+			}
+			return append(pt.Report, '\n'), nil
 		}
 	}
-	p := sp.params()
-	src, err := dataset.OpenCSVChunks(upload, p.Chunk)
+	src, err := dataset.OpenCSVChunks(upload, sp.Chunk)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +111,7 @@ func (s *Server) runJob(ctx context.Context, spec json.RawMessage, upload string
 			progress(jobs.Progress{ChunksDone: done, ChunksTotal: total})
 		}
 	}
-	return s.runAssessment(ctx, src, p, sp.Digest, ws, chunkProg, true)
+	return s.assessOne(ctx, s.engine(ws), src, sp.Params, sp.Digest, chunkProg)
 }
 
 const jobTypeSweep = "sweep"
@@ -163,12 +149,15 @@ func (s *Server) runSweepJob(ctx context.Context, sp jobSpec, upload string, ws 
 	// reasons falls back to the local executor — the merged body is
 	// byte-identical either way.
 	if s.cluster != nil {
-		if body, err, delegated := s.runSweepViaCluster(ctx, sp, plan, upload, len(src.Names()), progress); delegated {
-			return body, err
+		if envs, err, delegated := s.delegate(ctx, plan, upload, sp.Digest, progress); delegated {
+			if err != nil {
+				return nil, err
+			}
+			return mergeGroups(plan, envs, sp.Digest, len(src.Names()), s.cache)
 		}
 	}
 	cfg := sweep.ExecConfig{
-		Env:    sweep.Env{Reg: defaultRegistry, WS: ws},
+		Env:    s.engine(ws),
 		Digest: sp.Digest,
 		Cache:  s.cache,
 	}
@@ -276,7 +265,7 @@ func (s *Server) handleJobsCollection(w http.ResponseWriter, r *http.Request) {
 	}
 	defer up.Remove()
 
-	spec, err := json.Marshal(specFromParams(p, up.digest))
+	spec, err := json.Marshal(jobSpec{Params: p.Params, Digest: up.digest})
 	if err != nil {
 		s.jobError(w, r, err)
 		return
@@ -518,7 +507,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if chunk == 0 {
 		chunk = s.cfg.ChunkRows
 	}
-	stored, err := json.Marshal(jobSpec{Type: jobTypeSweep, Chunk: chunk, Sweep: json.RawMessage(specBytes), Digest: up.digest})
+	stored, err := json.Marshal(jobSpec{Type: jobTypeSweep, Params: sweep.Params{Chunk: chunk}, Sweep: json.RawMessage(specBytes), Digest: up.digest})
 	if err != nil {
 		s.jobError(w, r, err)
 		return

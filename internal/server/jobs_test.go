@@ -108,7 +108,8 @@ func deleteJob(t testing.TB, ts *httptest.Server, id string) int {
 // every battery mode, the stored job result is byte-identical to the
 // synchronous /v1/assess response for the same CSV, params and seed —
 // and the progress accounting lands exactly on its precomputed total
-// (done == total pins passesFor against the real pass structure).
+// (done == total pins the one-point plan's PlannedPasses against the
+// real pass structure).
 func TestJobResultMatchesSynchronousAssess(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheEntries: -1})
 	in := testCSV(t, 240, 4, 2, 9)

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"randpriv/internal/cluster"
+	"randpriv/internal/dataset"
 	"randpriv/internal/faultfs"
 	"randpriv/internal/jobs"
 	"randpriv/internal/mat"
@@ -422,6 +423,7 @@ func statusOf(err error) int {
 	var bad badRequestError
 	var notReady *jobs.NotReadyError
 	var param *sweep.ParamError
+	var data *dataset.DataError
 	switch {
 	case errors.As(err, &maxBytes):
 		return http.StatusRequestEntityTooLarge
@@ -433,7 +435,7 @@ func statusOf(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
-	case errors.As(err, &bad), errors.As(err, &param):
+	case errors.As(err, &bad), errors.As(err, &param), errors.As(err, &data):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

@@ -19,6 +19,7 @@ import (
 	"randpriv/internal/core"
 	"randpriv/internal/dataset"
 	"randpriv/internal/mat"
+	"randpriv/internal/sweep"
 	"randpriv/internal/synth"
 )
 
@@ -708,7 +709,7 @@ func FuzzRequestParams(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defaults := requestParams{Sigma: 5, Seed: 1, Scheme: schemeAdditive, Attack: "pcadr", Chunk: 4096, Epsilon: 1, Delta: 1e-5, Sensitivity: 1}
+		defaults := requestParams{Params: sweep.Params{Sigma: 5, Seed: 1, Scheme: schemeAdditive, Chunk: 4096, Epsilon: 1, Delta: 1e-5, Sensitivity: 1}, Attack: "pcadr"}
 		p, err := parseRequestParams(q, defaults, append(assessParamKeys, "attack", "correlated")...)
 		if err != nil {
 			return

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"io"
 
-	"randpriv/internal/dataset"
 	"randpriv/internal/faultfs"
-	"randpriv/internal/stream"
 )
 
 // upload is a request body spooled to a temporary file. Spooling is what
@@ -55,55 +53,6 @@ func spoolBody(fsys faultfs.FS, dir string, r io.Reader) (*upload, error) {
 func (u *upload) Remove() {
 	if u != nil {
 		faultfs.Default(u.fs).Remove(u.path)
-	}
-}
-
-// f64Spool is a data set held as a float64 spool file (the format of
-// dataset.SpoolWriter): an upload after its validation pass, or the
-// disguised copy an assessment attacks. CSV is decoded once, at the
-// edge; every later pass reads one of these. Like the upload spool,
-// both are created, reopened and removed through the server's FS seam.
-type f64Spool struct {
-	fs   faultfs.FS
-	path string
-}
-
-// writeSpool creates a float64 spool of an m-column data set in dir and
-// fills it through fill. A failed fill, write or close removes the
-// partial file and returns the error unchanged, so a fill's own
-// classification (a client data error) survives and a storage fault
-// stays a storage fault.
-func writeSpool(fsys faultfs.FS, dir, pattern string, cols int, fill func(stream.Sink) error) (*f64Spool, error) {
-	f, err := fsys.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, fmt.Errorf("server: create spool: %w", err)
-	}
-	sw, err := dataset.NewSpoolWriter(f, cols)
-	if err == nil {
-		err = fill(sw)
-	}
-	if err == nil {
-		err = sw.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fsys.Remove(f.Name())
-		return nil, err
-	}
-	return &f64Spool{fs: fsys, path: f.Name()}, nil
-}
-
-// open returns a chunked source over the spool.
-func (sp *f64Spool) open(chunk int) (*dataset.SpoolSource, error) {
-	return dataset.ReadSpool(func() (io.ReadCloser, error) { return sp.fs.Open(sp.path) }, chunk)
-}
-
-// Remove deletes the spool file.
-func (sp *f64Spool) Remove() {
-	if sp != nil {
-		sp.fs.Remove(sp.path)
 	}
 }
 

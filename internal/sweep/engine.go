@@ -11,17 +11,42 @@ import (
 
 	"randpriv/internal/core"
 	"randpriv/internal/experiment"
+	"randpriv/internal/faultfs"
 	"randpriv/internal/mat"
 	"randpriv/internal/stream"
 )
 
-// Env is the single-point assessment engine: the registry plus a scratch
-// workspace. The server's /v1/assess path and the sweep executor both
-// evaluate through it, so a grid point and a standalone request are the
-// same computation — one code path, two callers.
+// Env is the assessment engine's wiring: the registry, a scratch
+// workspace, where stream mode keeps its spools, and an optional
+// cluster hook. Every entry point — /v1/assess, jobs, sweeps, cluster
+// tasks, the CLI — evaluates through it, so a grid point and a
+// standalone request are the same computation.
 type Env struct {
 	Reg *core.Registry
 	WS  *mat.Workspace
+	// FS and SpoolDir are where stream mode writes its float64 spools.
+	// The zero values are the OS filesystem and os.TempDir().
+	FS       faultfs.FS
+	SpoolDir string
+	// Offload, when non-nil, may take a stream point's shared sketch and
+	// its scoring pass to a cluster. Only a caller allowed to enqueue
+	// cluster tasks sets it: a task runner that did would deadlock a lone
+	// worker on its own queue.
+	Offload Offload
+}
+
+// Offload moves a stream point's heavy passes off the engine. Both
+// methods must return exactly what the serial computation would — the
+// same sketch bits, the same report — or fall back, so the response
+// bytes never depend on which path ran.
+type Offload interface {
+	// Sketch returns the moment sketch of the disguised spool at path,
+	// read in chunk-row chunks; serial is the in-process computation.
+	Sketch(ctx context.Context, path string, chunk int, serial core.SketchFn) (*stream.Moments, error)
+	// Score runs p's battery against the original and disguised spools
+	// at the given paths, with the group's NDR baseline ndr. ok == false
+	// declines, and the engine scores serially.
+	Score(ctx context.Context, p Params, bd core.BuiltDefense, orig, disg string, ndr float64) (rep *core.PrivacyReport, ok bool)
 }
 
 // PointRNG builds a point's perturbation RNG. The seed flows through the

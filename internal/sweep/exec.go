@@ -3,10 +3,9 @@ package sweep
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 
 	"randpriv/internal/core"
+	"randpriv/internal/dataset"
 	"randpriv/internal/mat"
 	"randpriv/internal/recon"
 	"randpriv/internal/stream"
@@ -85,37 +84,6 @@ func (c countingSource) Reset() error {
 	return c.src.Reset()
 }
 
-// validateCollect is the plan's single pass over the upload: validate
-// every chunk (malformed data fails before any compute) while collecting
-// the rows resident, so no later pass ever re-reads the CSV.
-func validateCollect(src stream.Source, cols int) (*mat.Dense, int64, error) {
-	if err := src.Reset(); err != nil {
-		return nil, 0, err
-	}
-	var col stream.Collector
-	var rows int64
-	for {
-		chunk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, paramErr(err)
-		}
-		if err := stream.ValidateChunk(chunk, rows); err != nil {
-			return nil, 0, paramErr(err)
-		}
-		if err := col.Append(chunk); err != nil {
-			return nil, 0, err
-		}
-		rows += int64(chunk.Rows())
-	}
-	if rows == 0 || cols == 0 {
-		return nil, 0, paramErr(fmt.Errorf("sweep: empty data set (%d rows, %d columns)", rows, cols))
-	}
-	return col.Data, rows, nil
-}
-
 // GroupOutcome is one point's result from evaluating a perturbation
 // group: the canonical report bytes (trailing newline included — the
 // exact standalone /v1/assess body), or the parameter rejection that
@@ -125,11 +93,18 @@ type GroupOutcome struct {
 	Err  string
 }
 
-// GroupExec evaluates perturbation groups against one resident upload.
-// Execute drives it group by group; the cluster's sweep-group task
-// runner drives it for a single delegated group. Both callers therefore
-// share one compute path, which is what keeps a delegated sweep
-// byte-identical to the single-process run.
+// GroupExec evaluates perturbation groups against one validated upload.
+// It is the one assessment orchestrator: Execute drives it group by
+// group for a plan of any size, the server drives it for a one-point
+// plan (/v1/assess and scalar jobs), and the cluster's sweep-group task
+// runner drives it for a single delegated group — one compute path,
+// which is what keeps every entry point byte-identical.
+//
+// The data plane follows the mode and nothing else. Memory mode holds
+// the validated upload and each group's disguised copy resident. Stream
+// mode holds both in float64 spools under Env.SpoolDir, so memory stays
+// O(chunk + m²) at any upload size: the upload spool lives until Close,
+// each disguised spool until its group ends.
 type GroupExec struct {
 	env      Env
 	digest   string
@@ -137,30 +112,89 @@ type GroupExec struct {
 	chunk    int
 	rows     int64
 	cols     int
-	origData *mat.Dense
+	orig     *held
 	wrap     func(stream.Source) stream.Source
 	sketches *stream.SketchCache
 }
 
+// held is one data set the engine keeps for its passes: resident rows
+// in memory mode, a float64 spool and the one reader every pass resets
+// in stream mode.
+type held struct {
+	data  *mat.Dense
+	spool *dataset.Spool
+	src   *dataset.SpoolSource
+}
+
+// openHeld opens the reader over a freshly written spool, removing the
+// spool if that fails.
+func openHeld(sp *dataset.Spool, chunk int) (*held, error) {
+	src, err := sp.Open(chunk)
+	if err != nil {
+		sp.Remove()
+		return nil, err
+	}
+	return &held{spool: sp, src: src}, nil
+}
+
+func (h *held) source(chunk int) stream.Source {
+	if h.spool == nil {
+		return stream.NewMatrixSource(h.data, chunk)
+	}
+	return h.src
+}
+
+// err returns the first read error the spool's reader hit. The battery
+// files a failed read under the attack that made it; a storage fault is
+// not an attack outcome, so no report may be built after one.
+func (h *held) err() error {
+	if h.spool == nil {
+		return nil
+	}
+	return h.src.Err()
+}
+
+func (h *held) close() {
+	if h.spool != nil {
+		h.src.Close()
+		h.spool.Remove()
+	}
+}
+
 // NewGroupExec scans the upload once — validating every chunk and
-// collecting the rows resident, so no later pass re-reads the CSV — and
-// returns the group evaluator. wrap, when non-nil, decorates every
-// source the evaluator opens (the executor threads its cancellation and
-// pass counting through it).
+// keeping the rows (resident, or in the upload spool in stream mode), so
+// no later pass re-reads the CSV — and returns the group evaluator. wrap,
+// when non-nil, decorates every source the evaluator opens (callers
+// thread cancellation, pass and chunk counting through it). Close
+// releases the upload spool.
 func NewGroupExec(env Env, digest string, streamMode bool, chunk, cols int, upload stream.Source, wrap func(stream.Source) stream.Source) (*GroupExec, error) {
 	if wrap == nil {
 		wrap = func(s stream.Source) stream.Source { return s }
 	}
-	origData, rows, err := validateCollect(wrap(upload), cols)
+	g := &GroupExec{
+		env: env, digest: digest, stream: streamMode, chunk: chunk,
+		cols: cols, wrap: wrap, sketches: stream.NewSketchCache(),
+	}
+	var err error
+	if streamMode {
+		var sp *dataset.Spool
+		sp, g.rows, err = dataset.ValidateSpool(env.FS, env.SpoolDir, wrap(upload), cols)
+		if err == nil {
+			g.orig, err = openHeld(sp, chunk)
+		}
+	} else {
+		var col stream.Collector
+		g.rows, err = dataset.Validate(wrap(upload), cols, &col)
+		g.orig = &held{data: col.Data}
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &GroupExec{
-		env: env, digest: digest, stream: streamMode, chunk: chunk,
-		rows: rows, cols: cols, origData: origData, wrap: wrap,
-		sketches: stream.NewSketchCache(),
-	}, nil
+	return g, nil
 }
+
+// Close removes the upload spool. Memory mode holds nothing to release.
+func (g *GroupExec) Close() { g.orig.close() }
 
 // Rows returns the validated upload's row count.
 func (g *GroupExec) Rows() int64 { return g.rows }
@@ -169,9 +203,7 @@ func (g *GroupExec) Rows() int64 { return g.rows }
 // built so far (the original's plus one per evaluated stream group).
 func (g *GroupExec) SketchesBuilt() int { return g.sketches.Len() }
 
-func (g *GroupExec) origSrc() stream.Source {
-	return g.wrap(stream.NewMatrixSource(g.origData, g.chunk))
-}
+func (g *GroupExec) origSrc() stream.Source { return g.wrap(g.orig.source(g.chunk)) }
 
 // origCov memoizes the original's covariance sketch across groups — a
 // covariance-hungry defense in every group still costs one pass total.
@@ -183,6 +215,23 @@ func (g *GroupExec) origCov() (*mat.Dense, error) {
 		return nil, err
 	}
 	return mo.Covariance(), nil
+}
+
+// keep holds what fill writes the way the mode holds data: resident, or
+// in a new disguised spool.
+func (g *GroupExec) keep(fill func(stream.Sink) error) (*held, error) {
+	if !g.stream {
+		var col stream.Collector
+		if err := fill(&col); err != nil {
+			return nil, err
+		}
+		return &held{data: col.Data}, nil
+	}
+	sp, err := dataset.CreateSpool(g.env.FS, g.env.SpoolDir, "randpriv-disg-*.f64", g.cols, fill)
+	if err != nil {
+		return nil, err
+	}
+	return openHeld(sp, g.chunk)
 }
 
 // Run evaluates one perturbation group — every point in pts shares one
@@ -211,12 +260,14 @@ func (g *GroupExec) Run(ctx context.Context, key string, pts []Params) ([]GroupO
 	if err != nil {
 		return rejectAll(err)
 	}
-
-	var disg stream.Collector
-	if err := Perturb(bd, groupParams.Seed, g.origSrc(), &disg); err != nil {
+	disg, err := g.keep(func(sink stream.Sink) error {
+		return Perturb(bd, groupParams.Seed, g.origSrc(), sink)
+	})
+	if err != nil {
 		return rejectAll(err)
 	}
-	disgSrc := func() stream.Source { return g.wrap(stream.NewMatrixSource(disg.Data, g.chunk)) }
+	defer disg.close()
+	disgSrc := func() stream.Source { return g.wrap(disg.source(g.chunk)) }
 
 	var ndr float64
 	var sketch core.SketchFn
@@ -227,13 +278,17 @@ func (g *GroupExec) Run(ctx context.Context, key string, pts []Params) ([]GroupO
 		}
 		sketch = func() (*stream.Moments, error) {
 			return g.sketches.Get(key, func() (*stream.Moments, error) {
-				return recon.SketchSource(disgSrc())
+				serial := func() (*stream.Moments, error) { return recon.SketchSource(disgSrc()) }
+				if g.env.Offload != nil {
+					return g.env.Offload.Sketch(ctx, disg.spool.Path(), g.chunk, serial)
+				}
+				return serial()
 			})
 		}
 	}
 
 	for i, p := range pts {
-		body, err := g.point(ctx, p, bd, disg.Data, disgSrc, ndr, sketch)
+		body, err := g.point(ctx, p, bd, disg, disgSrc, ndr, sketch)
 		if err != nil {
 			if isParamError(err) {
 				out[i].Err = err.Error()
@@ -247,16 +302,28 @@ func (g *GroupExec) Run(ctx context.Context, key string, pts []Params) ([]GroupO
 }
 
 // point evaluates and marshals one point of a perturbed group.
-func (g *GroupExec) point(ctx context.Context, p Params, bd core.BuiltDefense, disgData *mat.Dense, disgSrc func() stream.Source, ndr float64, sketch core.SketchFn) ([]byte, error) {
+func (g *GroupExec) point(ctx context.Context, p Params, bd core.BuiltDefense, disg *held, disgSrc func() stream.Source, ndr float64, sketch core.SketchFn) ([]byte, error) {
 	var rep *core.PrivacyReport
 	var utilities []core.UtilityResult
 	var err error
 	if g.stream {
-		rep, err = g.env.EvaluateStreamPoint(p, g.origSrc(), disgSrc(), bd, &ndr, sketch)
+		scored := false
+		if g.env.Offload != nil {
+			rep, scored = g.env.Offload.Score(ctx, p, bd, g.orig.spool.Path(), disg.spool.Path(), ndr)
+		}
+		if !scored {
+			rep, err = g.env.EvaluateStreamPoint(p, g.origSrc(), disgSrc(), bd, &ndr, sketch)
+		}
 	} else {
-		rep, utilities, err = g.env.EvaluateMemoryPoint(ctx, p, g.origData, disgData, bd)
+		rep, utilities, err = g.env.EvaluateMemoryPoint(ctx, p, g.orig.data, disg.data, bd)
 	}
 	if err != nil {
+		return nil, err
+	}
+	if err := g.orig.err(); err != nil {
+		return nil, err
+	}
+	if err := disg.err(); err != nil {
 		return nil, err
 	}
 	// A context that died mid-battery is absorbed by the evaluators into
@@ -270,10 +337,10 @@ func (g *GroupExec) point(ctx context.Context, p Params, bd core.BuiltDefense, d
 }
 
 // Execute runs a compiled plan over one upload. The upload is scanned
-// once; everything after that runs off the resident copy through
-// MatrixSource — which yields the same chunk partition as the CSV
-// source, so every sketch, baseline and report stays bit-identical to
-// the out-of-core per-request path. Points whose parameters are rejected
+// once; everything after that reads the copy GroupExec keeps (resident
+// or spooled, by the plan's mode) in the same chunk partition as the CSV
+// source, so every sketch, baseline and report is bit-identical to a
+// one-point plan of the same point. Points whose parameters are rejected
 // record the rejection and the sweep continues; data-plane failures
 // (cancellation, I/O) abort the whole run, exactly as they would abort a
 // standalone request.
@@ -307,6 +374,7 @@ func Execute(ctx context.Context, cfg ExecConfig, plan *Plan, upload stream.Sour
 	if err != nil {
 		return nil, err
 	}
+	defer ge.Close()
 	res.Rows = ge.Rows()
 	defer func() { res.SketchesBuilt = ge.SketchesBuilt() }()
 

@@ -83,17 +83,20 @@ func AttackModes(p Params, noise core.NoiseModel) []string {
 	return core.DefaultAttackModes(noise, p.Stream)
 }
 
-// PassesFor counts how many full passes a standalone assessment makes
-// over its two chunk streams (original upload + disguised spool):
+// PassesFor counts how many full passes an assessment makes over its
+// two chunk streams (original + disguised copy) when nothing is shared
+// between points or attacks:
 //
 //	memory:  validate + perturb-read + collect(orig) + collect(disg) = 4
 //	stream:  validate + perturb-read + NDR baseline (2)
 //	         + each selected attack's registered StreamPasses
 //	covariance-hungry scheme: +1 (the sketch pass over the original)
 //
-// It is the per-request progress denominator and the planner's
-// sequential-cost reference — a plan's PlannedPasses divided into
-// Σ PassesFor over the grid is the pass-amortization win.
+// It is the planner's sequential-cost reference — a plan's
+// PlannedPasses divided into Σ PassesFor over the grid is the
+// pass-amortization win — and every sweep result reports it as
+// sequential_passes, so the cost model stays fixed. Progress counts
+// PlannedPasses, the passes the engine actually makes.
 func PassesFor(reg *core.Registry, p Params) int64 {
 	var passes int64
 	if p.Stream {

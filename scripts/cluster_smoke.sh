@@ -1,12 +1,12 @@
 #!/bin/sh
 # cluster_smoke.sh — end-to-end smoke of the coordinator/worker cluster
-# with real processes: the same streamed assessment job — and the same
-# multipart sweep, partitioned into perturbation-group tasks — must
-# return byte-identical results from a single-process server, a
-# 1-worker cluster and a 2-worker cluster; a synchronous streamed
-# assessment on the 2-worker cluster, scored by per-attack score tasks
-# over the disguised copy's float64 spool, must match the
-# single-process response. This is the process-level
+# with real processes: the same streamed assessment job — delegated as a
+# one-point sweepgroup task — and the same multipart sweep, partitioned
+# into perturbation-group tasks, must return byte-identical results from
+# a single-process server, a 1-worker cluster and a 2-worker cluster; a
+# synchronous streamed assessment on the 2-worker cluster, scored by
+# per-attack score tasks over the float64 spools of both copies, must
+# match the single-process response. This is the process-level
 # version of the in-process identity tests
 # (TestClusterAssessByteIdentity, TestClusterSweepDelegationByteIdentity),
 # run in CI so the flag wiring, the worker role and the shared state
@@ -154,6 +154,18 @@ start_daemon 18081 -cluster-dir "$WORK/clusterA" -node-id coord-a \
     -cluster-workers -1 -spool "$WORK/spoolA" -jobs-dir "$WORK/jobsA"
 start_daemon 18082 -role worker -cluster-dir "$WORK/clusterA" -node-id wa1
 run_job 18081 "$WORK/one.json"
+# Cluster A's coordinator runs no claim loops and served nothing but the
+# job, so its queue shows how a scalar job is delegated: as a one-point
+# sweepgroup task. The cluster has no assess task kind.
+status_a="$(curl -sf localhost:18081/v1/status)"
+echo "$status_a" | grep -q '"sweepgroup"' || {
+    echo "FAIL: coordinator A /v1/status shows no sweepgroup task; the job was not delegated as a one-point group" >&2
+    exit 1
+}
+if echo "$status_a" | grep -q '"assess"'; then
+    echo "FAIL: coordinator A /v1/status shows an assess task kind" >&2
+    exit 1
+fi
 
 echo "cluster B: coordinator (no embedded execution) + 2 workers ..." >&2
 mkdir -p "$WORK/spoolB"
