@@ -432,26 +432,6 @@ func BenchmarkEigenSym(b *testing.B) {
 	}
 }
 
-// BenchmarkEigenSymJacobi measures the retained cyclic-Jacobi fallback on
-// the same input, pinning the QL-vs-Jacobi gap the kernel layer exists
-// to close.
-func BenchmarkEigenSymJacobi(b *testing.B) {
-	rng := rand.New(rand.NewSource(2005))
-	spec := synth.Spectrum{M: 100, P: 10, Principal: 400, Tail: 4}
-	vals, _ := spec.Values()
-	cov, err := synth.CovarianceFromSpectrum(vals, mat.RandomOrthogonal(100, rng))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mat.EigenSymJacobi(cov); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // syntheticSource is a stream.Source that generates a disguised
 // correlated data set on the fly, chunk by chunk: z·mixᵀ gives rows with
 // a spiked covariance, plus i.i.d. N(0, σ²) noise. Nothing larger than

@@ -14,10 +14,11 @@
 //
 // With -cluster-dir, several randprivd processes sharing one state
 // directory form a cluster. The default -role coordinator serves the
-// full HTTP API and delegates work to the shared task queue: plain
-// assessment jobs, the sketch and score passes of large streamed
-// assessments, and multipart sweeps partitioned at perturbation-group
-// boundaries so each worker runs one disguise pass end-to-end.
+// full HTTP API and delegates jobs to the shared task queue: plain
+// assessment jobs as one-point plans, and multipart sweeps partitioned
+// at perturbation-group boundaries, so each worker runs one disguise
+// pass end-to-end. A synchronous /v1/assess runs on the coordinator
+// itself, behind a result cache every node shares.
 // -role worker serves only /healthz and /v1/status and spends its
 // capacity claiming and executing tasks. Workers that crash mid-task
 // lose their lease after the heartbeat TTL and the work re-runs

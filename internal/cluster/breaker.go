@@ -91,7 +91,7 @@ func (b *Breaker) Open(now time.Time) bool {
 }
 
 // Trips returns how many times the breaker has tripped open — a
-// monotonic gauge for /healthz.
+// monotonic gauge for /v1/status.
 func (b *Breaker) Trips() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

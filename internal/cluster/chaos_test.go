@@ -97,17 +97,15 @@ func TestChaosTornWriteCrashSweepRecovers(t *testing.T) {
 }
 
 // TestChaosDoneFileReadFaultsConverge: a device hiccuping EIO on done
-// file reads while the coordinator polls still converges the sharded
-// sketch to the serial golden — the retry layer absorbs the hiccups.
+// file reads while the coordinator polls still converges the plan to
+// the runner's in-process results — the retry layer absorbs the
+// hiccups.
 func TestChaosDoneFileReadFaultsConverge(t *testing.T) {
 	inj := faultfs.NewInjector(nil,
 		faultfs.Rule{Op: faultfs.OpRead, Path: "tasks/done", Times: 3, Err: faultfs.ErrIO},
 	)
 	st := chaosStore(t, filepath.Join(t.TempDir(), "cluster"), inj)
-	path := filepath.Join(t.TempDir(), "data.f64")
-	writeTestSpool(t, path, 160, 4, 23)
-	const chunk, shards = 8, 3
-	want := serialSketchBytes(t, path, chunk)
+	tasks := fakePlan(3)
 
 	c, err := NewCoordinator(st, CoordinatorOptions{
 		Node: "coord", Workers: 1,
@@ -117,6 +115,7 @@ func TestChaosDoneFileReadFaultsConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Register(TaskSweepGroup, echoRunner)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +123,11 @@ func TestChaosDoneFileReadFaultsConverge(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	mo, err := c.ShardedSketch(ctx, path, chunk, shards)
+	results, err := runPlan(ctx, c, tasks)
 	if err != nil {
-		t.Fatalf("ShardedSketch under EIO schedule: %v", err)
+		t.Fatalf("plan under EIO schedule: %v", err)
 	}
-	if !bytes.Equal(sketchBits(t, mo), want) {
-		t.Fatal("sketch under read faults differs from the serial golden")
-	}
+	checkResults(t, tasks, results)
 	if inj.Faults() < 3 {
 		t.Fatalf("schedule delivered %d faults, want 3", inj.Faults())
 	}
@@ -154,9 +151,7 @@ func TestChaosClaimErrorStormBacksOffThenProgresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(TaskSketch, func(ctx context.Context, st *Store, tk *Task) ([]byte, error) {
-		return []byte("done"), nil
-	})
+	w.Register(TaskSweepGroup, echoRunner)
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,86 +5,25 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
-
-	"randpriv/internal/dataset"
-	"randpriv/internal/mat"
-	"randpriv/internal/stream"
 )
 
-// writeTestSpool writes a deterministic rows×cols float64 spool of
-// mixed-scale values (plenty of bits below the decimal point, so
-// byte-identity failures cannot hide behind round numbers).
-func writeTestSpool(t testing.TB, path string, rows, cols int, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	data := mat.Zeros(rows, cols)
-	for i := range data.Raw() {
-		data.Raw()[i] = (rng.NormFloat64() + 2) * float64(1+rng.Intn(500))
-	}
-	writeSpoolFile(t, path, data)
-}
-
-// writeSpoolFile writes data as a float64 spool at path.
-func writeSpoolFile(t testing.TB, path string, data *mat.Dense) {
-	t.Helper()
-	var buf bytes.Buffer
-	sw, err := dataset.NewSpoolWriter(&buf, data.Cols())
-	if err == nil {
-		err = sw.Append(data)
-	}
-	if err == nil {
-		err = sw.Flush()
-	}
-	if err == nil {
-		err = os.WriteFile(path, buf.Bytes(), 0o644)
-	}
-	if err != nil {
-		t.Fatalf("write test spool: %v", err)
-	}
-}
-
-// serialSketchBytes is the golden: the single-process serial accumulate
-// over the same chunk partition, as raw sketch bytes.
-func serialSketchBytes(t *testing.T, path string, chunk int) []byte {
-	t.Helper()
-	mo := serialSketch(t, path, chunk)
-	b, err := mo.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal serial sketch: %v", err)
-	}
-	return b
-}
-
-func serialSketch(t *testing.T, path string, chunk int) *stream.Moments {
-	t.Helper()
-	src, err := dataset.OpenSpool(path, chunk)
-	if err != nil {
-		t.Fatalf("open spool: %v", err)
-	}
-	defer src.Close()
-	mo, err := stream.Accumulate(src, 1)
-	if err != nil {
-		t.Fatalf("serial sketch: %v", err)
-	}
-	return mo
-}
-
-func sketchBits(t *testing.T, mo *stream.Moments) []byte {
-	t.Helper()
-	b, err := mo.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal sketch: %v", err)
-	}
-	return b
+// The cluster package only routes task kinds; the server registers the
+// runner that computes. Protocol tests route their own payload under the
+// one kind: echoRunner, whose result — like every real runner's — is a
+// pure function of the task's content, so a duplicate execution writes
+// the same done bytes and every result can be checked against the
+// runner's output computed in-process.
+func echoRunner(_ context.Context, _ *Store, t *Task) ([]byte, error) {
+	sum := sha256.Sum256(append([]byte(t.Digest+"|"), t.Spec...))
+	return []byte(hex.EncodeToString(sum[:])), nil
 }
 
 func openStore(t *testing.T) *Store {
@@ -96,12 +35,48 @@ func openStore(t *testing.T) *Store {
 	return st
 }
 
-// fakeTask builds a claimable (but never runnable) task for protocol
-// tests.
+// fakeTask builds a claimable task for protocol tests; distinct i give
+// distinct content-derived ids.
 func fakeTask(i int) Task {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("fake-%d", i)))
-	d := hex.EncodeToString(sum[:])
-	return NewSketchTask(d, 8, i)
+	return NewSweepGroupTask(json.RawMessage(strconv.Itoa(i)), hex.EncodeToString(sum[:]))
+}
+
+// fakePlan is n tasks, the shape of a delegated plan's groups.
+func fakePlan(n int) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = fakeTask(i)
+	}
+	return tasks
+}
+
+// runPlan enqueues tasks and awaits them through c, returning the
+// results in task order — what the server's delegation does with a plan.
+func runPlan(ctx context.Context, c *Coordinator, tasks []Task) ([][]byte, error) {
+	ids := make([]string, len(tasks))
+	for i, tk := range tasks {
+		if err := c.Store().Enqueue(tk); err != nil {
+			return nil, err
+		}
+		ids[i] = tk.ID
+	}
+	return c.AwaitFunc(ctx, ids, nil)
+}
+
+// checkResults fails unless every result equals echoRunner's output for
+// its task, computed in-process.
+func checkResults(t *testing.T, tasks []Task, got [][]byte) {
+	t.Helper()
+	if len(got) != len(tasks) {
+		t.Fatalf("got %d results, want %d", len(got), len(tasks))
+	}
+	for i := range tasks {
+		want, _ := echoRunner(context.Background(), nil, &tasks[i])
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("task %d result %q, want the in-process runner output %q", i, got[i], want)
+		}
+	}
 }
 
 func TestClaimExactlyOnce(t *testing.T) {
@@ -301,196 +276,5 @@ func TestCASAndResultCache(t *testing.T) {
 	got, ok := st.CachedResult("key1")
 	if !ok || string(got) != "result" {
 		t.Fatalf("CachedResult = %q, %v", got, ok)
-	}
-}
-
-// TestSplitDeclines pins the spool splitter's refusals: input it cannot
-// cut into whole rows is an error, and the caller falls back to the
-// serial sketch.
-func TestSplitDeclines(t *testing.T) {
-	st := openStore(t)
-	dir := t.TempDir()
-	header := dataset.SpoolHeader(2)
-	cases := map[string][]byte{
-		"no data rows":      header,
-		"partial row":       append(append([]byte{}, header...), make([]byte, 24)...),
-		"truncated header":  header[:10],
-		"not a spool":       []byte("a,b\n1,2\n3,4\n"),
-		"zero-column spool": dataset.SpoolHeader(0),
-	}
-	for name, content := range cases {
-		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".f64")
-		if err := os.WriteFile(p, content, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.SplitSpoolShards(p, 2, 2); err == nil {
-			t.Errorf("%s: split succeeded, want refusal", name)
-		}
-	}
-}
-
-// TestSplitSpoolShardsAtRowOffsets pins the cut itself: every shard is a
-// spool of its own holding a chunk-multiple run of rows, and the shards
-// concatenate back to the original rows, bit for bit.
-func TestSplitSpoolShardsAtRowOffsets(t *testing.T) {
-	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.f64")
-	writeTestSpool(t, path, 23, 3, 5)
-	const chunk = 4
-	digests, err := st.SplitSpoolShards(path, chunk, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(digests) != 3 {
-		t.Fatalf("got %d shards, want 3", len(digests))
-	}
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []byte
-	for i, d := range digests {
-		b, err := os.ReadFile(st.CASPath(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b[:dataset.SpoolHeaderSize], whole[:dataset.SpoolHeaderSize]) {
-			t.Fatalf("shard %d header differs from the spool's", i)
-		}
-		n := (len(b) - dataset.SpoolHeaderSize) / (3 * 8)
-		if i < len(digests)-1 && n%chunk != 0 {
-			t.Errorf("shard %d holds %d rows, not a multiple of the %d-row chunk", i, n, chunk)
-		}
-		rows = append(rows, b[dataset.SpoolHeaderSize:]...)
-	}
-	if !bytes.Equal(rows, whole[dataset.SpoolHeaderSize:]) {
-		t.Fatal("shards do not concatenate back to the spool's rows")
-	}
-}
-
-// TestShardedSketchByteIdentical is the tentpole's core claim at the
-// cluster level: distributing the sketch across shard tasks produces
-// bit-identical moments to the single-process serial accumulate, across
-// awkward shapes (rows not a chunk multiple, single-row chunks, more
-// shards than chunks, one shard total).
-func TestShardedSketchByteIdentical(t *testing.T) {
-	cases := []struct {
-		name                      string
-		rows, cols, chunk, shards int
-		workers                   int
-	}{
-		{"typical", 257, 5, 32, 4, 1},
-		{"single-row chunks", 41, 3, 1, 4, 1},
-		{"more shards than chunks", 5, 2, 2, 10, 1},
-		{"one shard", 64, 4, 16, 1, 1},
-		{"chunk larger than data", 7, 3, 100, 3, 1},
-		{"two embedded workers", 300, 6, 17, 6, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st := openStore(t)
-			path := filepath.Join(t.TempDir(), "data.f64")
-			writeTestSpool(t, path, tc.rows, tc.cols, 42)
-			want := serialSketchBytes(t, path, tc.chunk)
-
-			c, err := NewCoordinator(st, CoordinatorOptions{
-				Node: "coord", Workers: tc.workers,
-				Poll: 2 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond,
-				LeaseTTL: 2 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			mo, err := c.ShardedSketch(ctx, path, tc.chunk, tc.shards)
-			if err != nil {
-				t.Fatalf("ShardedSketch: %v", err)
-			}
-			if !bytes.Equal(sketchBits(t, mo), want) {
-				t.Fatalf("sharded sketch differs from serial accumulate")
-			}
-		})
-	}
-}
-
-// TestShardedSketchExternalWorkers runs a pure coordinator (no embedded
-// claim loops) against separate worker instances over the same state
-// dir — the same claim/heartbeat/done protocol separate OS processes
-// speak, exercised in-process so the test stays hermetic.
-func TestShardedSketchExternalWorkers(t *testing.T) {
-	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.f64")
-	writeTestSpool(t, path, 500, 6, 7)
-	const chunk = 16
-	want := serialSketchBytes(t, path, chunk)
-
-	for i := 0; i < 3; i++ {
-		w, err := NewWorker(st, WorkerOptions{
-			Node: fmt.Sprintf("ext%d", i), Poll: 2 * time.Millisecond,
-			HeartbeatEvery: 20 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Register(TaskSketch, SketchShardRunner)
-		if err := w.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer w.Stop()
-	}
-	c, err := NewCoordinator(st, CoordinatorOptions{
-		Node: "coord", Workers: -1, Poll: 2 * time.Millisecond, LeaseTTL: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.AliveWorkers(time.Now().UTC()); got != 3 {
-		t.Fatalf("AliveWorkers = %d, want 3", got)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	mo, err := c.ShardedSketch(ctx, path, chunk, 6)
-	if err != nil {
-		t.Fatalf("ShardedSketch: %v", err)
-	}
-	if !bytes.Equal(sketchBits(t, mo), want) {
-		t.Fatalf("sharded sketch differs from serial accumulate")
-	}
-}
-
-// TestSketchRunnerReportsBadData pins the failure path: a shard with a
-// non-finite value fails its task terminally, and ShardedSketch
-// surfaces the error (the server's caller then falls back to the serial
-// sketch, which reproduces the serial path's exact message).
-func TestSketchRunnerReportsBadData(t *testing.T) {
-	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "bad.f64")
-	writeSpoolFile(t, path, mat.NewFromRows([][]float64{{1, 2}, {3, math.NaN()}, {5, 6}, {7, 8}}))
-	c, err := NewCoordinator(st, CoordinatorOptions{
-		Node: "coord", Workers: 1, Poll: 2 * time.Millisecond,
-		HeartbeatEvery: 20 * time.Millisecond, LeaseTTL: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := c.ShardedSketch(ctx, path, 2, 2); err == nil {
-		t.Fatal("ShardedSketch succeeded over non-finite data, want error")
 	}
 }

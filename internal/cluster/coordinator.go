@@ -1,5 +1,5 @@
-// Coordinator: enqueues shard tasks, waits for their done files while
-// reclaiming expired leases, and merges the results.
+// Coordinator: waits for enqueued tasks' done files while reclaiming
+// expired leases, and optionally embeds claim loops of its own.
 
 package cluster
 
@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"log"
 	"time"
-
-	"randpriv/internal/stream"
 )
 
 // CoordinatorOptions tunes a Coordinator.
@@ -54,17 +52,16 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	return o
 }
 
-// Coordinator shards work into the store's task queue and collects the
-// results. It optionally embeds claim loops of its own.
+// Coordinator collects the results of tasks enqueued on its store. It
+// optionally embeds claim loops of its own.
 type Coordinator struct {
 	store   *Store
 	opts    CoordinatorOptions
 	workers []*Worker
 }
 
-// NewCoordinator builds a coordinator (and its embedded workers, with
-// the sketch runner pre-registered). Register any additional runners,
-// then Start.
+// NewCoordinator builds a coordinator and its embedded workers.
+// Register the task runners, then Start.
 func NewCoordinator(st *Store, opts CoordinatorOptions) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if err := validNodeID(opts.Node); err != nil {
@@ -82,7 +79,6 @@ func NewCoordinator(st *Store, opts CoordinatorOptions) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.Register(TaskSketch, SketchShardRunner)
 		c.workers = append(c.workers, w)
 	}
 	return c, nil
@@ -96,7 +92,7 @@ func (c *Coordinator) Register(typ string, r TaskRunner) {
 }
 
 // Start launches the embedded workers (if any) and writes the
-// coordinator's own heartbeat so it shows up on /healthz node listings.
+// coordinator's own heartbeat so it shows up on /v1/status node listings.
 func (c *Coordinator) Start() error {
 	if err := c.store.WriteHeartbeat(Heartbeat{Node: c.opts.Node, Role: "coordinator", Time: time.Now().UTC()}); err != nil {
 		return err
@@ -119,19 +115,14 @@ func (c *Coordinator) Close() {
 // Store returns the coordinator's store handle.
 func (c *Coordinator) Store() *Store { return c.store }
 
-// Await polls until every task id has a done file, reclaiming expired
-// leases as it waits — that is what makes a killed worker's shard
+// AwaitFunc polls until every task id has a done file, reclaiming
+// expired leases as it waits — that is what makes a killed worker's task
 // converge instead of hanging. The results come back in id order; the
-// first failed task (in slice order) fails the whole wait.
-func (c *Coordinator) Await(ctx context.Context, ids []string) ([][]byte, error) {
-	return c.AwaitFunc(ctx, ids, nil)
-}
-
-// AwaitFunc is Await with a completion hook: done (when non-nil) is
-// invoked once per task, in resolution order, with the task's index in
-// ids and its result bytes — the coordinator-side progress seam for
-// delegated sweeps. The hook runs on the polling goroutine, so it must
-// be cheap and must not block.
+// first failed task (in slice order) fails the whole wait. done (when
+// non-nil) is invoked once per task, in resolution order, with the
+// task's index in ids and its result bytes — the coordinator-side
+// progress seam for delegated sweeps. The hook runs on the polling
+// goroutine, so it must be cheap and must not block.
 func (c *Coordinator) AwaitFunc(ctx context.Context, ids []string, done func(i int, body []byte)) ([][]byte, error) {
 	results := make([][]byte, len(ids))
 	resolved := make([]bool, len(ids))
@@ -176,38 +167,9 @@ func (c *Coordinator) AwaitFunc(ctx context.Context, ids []string, done func(i i
 	return results, nil
 }
 
-// ShardedSketch distributes the first-pass moment sketch of the float64
-// spool at path: split into up to shards pieces at chunk boundaries,
-// enqueue one sketch task per piece (idempotent — a restarted
-// coordinator recomputes the same content-derived ids and finds its
-// earlier done files), await the per-chunk sketches, and merge them in
-// global chunk order. The result is bit-identical to stream.Accumulate
-// over the serial chunk partition; on ANY error callers should fall back
-// to the serial sketch, which either reproduces the result or surfaces
-// the data error with the serial path's exact message.
-func (c *Coordinator) ShardedSketch(ctx context.Context, path string, chunk, shards int) (*stream.Moments, error) {
-	digests, err := c.store.SplitSpoolShards(path, chunk, shards)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, len(digests))
-	for i, d := range digests {
-		t := NewSketchTask(d, chunk, i)
-		if err := c.store.Enqueue(t); err != nil {
-			return nil, err
-		}
-		ids[i] = t.ID
-	}
-	containers, err := c.Await(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	return mergeShardContainers(containers)
-}
-
 // AliveWorkers counts claim loops currently able to take tasks: nodes
 // with a live worker heartbeat within the lease TTL, plus this
-// coordinator's own embedded workers. Callers size shard fan-out by it.
+// coordinator's own embedded workers. /v1/status reports it.
 func (c *Coordinator) AliveWorkers(now time.Time) int {
 	alive := len(c.workers)
 	nodes, err := c.store.Nodes()

@@ -9,14 +9,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"randpriv/internal/stream"
 )
 
 // The fault harness: every failure mode below must converge to the same
-// golden bytes the single-process serial accumulate produces. The hooks
-// let a test hold a worker mid-shard — after the claim, before the
-// runner — which is exactly where a real crash loses work.
+// results the runner computes in-process. The hooks let a test hold a
+// worker mid-task — after the claim, before the runner — which is
+// exactly where a real crash loses work.
 
 // blockFirstTask builds a BeforeRun hook that parks the worker on its
 // first claimed task: the task is announced on started, and the hook
@@ -35,21 +33,28 @@ func blockFirstTask() (hook func(*Task), started chan Task, release chan struct{
 	return hook, started, release
 }
 
-type sketchResult struct {
-	mo  *stream.Moments
-	err error
+type planResult struct {
+	results [][]byte
+	err     error
 }
 
-// TestFaultKillWorkerMidShard kills a worker between claiming a shard
-// and sketching it. The lease sits on a dead node until the
-// coordinator's wait loop expires it; a second worker picks the shard
-// up and the merged sketch is still bit-identical to the serial one.
-func TestFaultKillWorkerMidShard(t *testing.T) {
+// goRunPlan runs the plan through c on its own goroutine.
+func goRunPlan(ctx context.Context, c *Coordinator, tasks []Task) <-chan planResult {
+	ch := make(chan planResult, 1)
+	go func() {
+		results, err := runPlan(ctx, c, tasks)
+		ch <- planResult{results, err}
+	}()
+	return ch
+}
+
+// TestFaultKillWorkerMidTask kills a worker between claiming a task and
+// running it. The lease sits on a dead node until the coordinator's wait
+// loop expires it; a second worker picks the task up and every result
+// still equals the runner's in-process output.
+func TestFaultKillWorkerMidTask(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.f64")
-	writeTestSpool(t, path, 240, 4, 11)
-	const chunk, shards = 8, 4
-	want := serialSketchBytes(t, path, chunk)
+	tasks := fakePlan(4)
 
 	hook, started, release := blockFirstTask()
 	a, err := NewWorker(st, WorkerOptions{
@@ -59,7 +64,7 @@ func TestFaultKillWorkerMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Register(TaskSketch, SketchShardRunner)
+	a.Register(TaskSweepGroup, echoRunner)
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +83,9 @@ func TestFaultKillWorkerMidShard(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	resCh := make(chan sketchResult, 1)
-	go func() {
-		mo, err := c.ShardedSketch(ctx, path, chunk, shards)
-		resCh <- sketchResult{mo, err}
-	}()
+	resCh := goRunPlan(ctx, c, tasks)
 
-	// Worker A claims its first shard and parks in the hook. Kill it
+	// Worker A claims its first task and parks in the hook. Kill it
 	// there — the lease is now held by a dead node — then let the blocked
 	// goroutine observe the kill and abandon the task.
 	killed := <-started
@@ -92,14 +93,14 @@ func TestFaultKillWorkerMidShard(t *testing.T) {
 	close(release)
 
 	// Worker B arrives after the crash and must finish everything,
-	// including the abandoned shard once its lease expires.
+	// including the abandoned task once its lease expires.
 	b, err := NewWorker(st, WorkerOptions{
 		Node: "wb", Poll: 2 * time.Millisecond, HeartbeatEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Register(TaskSketch, SketchShardRunner)
+	b.Register(TaskSweepGroup, echoRunner)
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +108,14 @@ func TestFaultKillWorkerMidShard(t *testing.T) {
 
 	res := <-resCh
 	if res.err != nil {
-		t.Fatalf("ShardedSketch: %v", res.err)
+		t.Fatalf("plan: %v", res.err)
 	}
-	if !bytes.Equal(sketchBits(t, res.mo), want) {
-		t.Fatalf("post-crash sketch differs from serial accumulate")
-	}
+	checkResults(t, tasks, res.results)
 	if _, msg, ok, err := st.TaskResult(killed.ID); err != nil || !ok || msg != "" {
-		t.Fatalf("killed shard %s not completed: ok=%v msg=%q err=%v", killed.ID, ok, msg, err)
+		t.Fatalf("killed task %s not completed: ok=%v msg=%q err=%v", killed.ID, ok, msg, err)
 	}
-	if claimed, done, failed := b.Stats(); claimed != shards || done != shards || failed != 0 {
-		t.Fatalf("worker b stats claimed=%d done=%d failed=%d, want %d/%d/0", claimed, done, failed, shards, shards)
+	if claimed, done, failed := b.Stats(); claimed != int64(len(tasks)) || done != int64(len(tasks)) || failed != 0 {
+		t.Fatalf("worker b stats claimed=%d done=%d failed=%d, want %d/%d/0", claimed, done, failed, len(tasks), len(tasks))
 	}
 	if aClaimed, aDone, _ := a.Stats(); aClaimed != 1 || aDone != 0 {
 		t.Fatalf("killed worker stats claimed=%d done=%d, want 1/0", aClaimed, aDone)
@@ -126,15 +125,12 @@ func TestFaultKillWorkerMidShard(t *testing.T) {
 // TestFaultCorruptHeartbeat corrupts a parked worker's heartbeat file:
 // liveness is judged from parsed content, so the corruption alone makes
 // the node dead and its lease reclaimable immediately — no TTL wait.
-// The parked worker is then released and completes its shard a second
+// The parked worker is then released and completes its task a second
 // time, pinning duplicate execution: both completions write the same
 // bytes.
 func TestFaultCorruptHeartbeat(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.f64")
-	writeTestSpool(t, path, 240, 4, 12)
-	const chunk, shards = 8, 4
-	want := serialSketchBytes(t, path, chunk)
+	tasks := fakePlan(4)
 
 	hook, started, release := blockFirstTask()
 	// HeartbeatEvery is huge so the corrupted file is never rewritten
@@ -146,7 +142,7 @@ func TestFaultCorruptHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Register(TaskSketch, SketchShardRunner)
+	a.Register(TaskSweepGroup, echoRunner)
 	if err := a.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +164,7 @@ func TestFaultCorruptHeartbeat(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	resCh := make(chan sketchResult, 1)
-	go func() {
-		mo, err := c.ShardedSketch(ctx, path, chunk, shards)
-		resCh <- sketchResult{mo, err}
-	}()
+	resCh := goRunPlan(ctx, c, tasks)
 
 	parked := <-started
 	hb := filepath.Join(st.Root(), "nodes", "wa.json")
@@ -186,7 +178,7 @@ func TestFaultCorruptHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Register(TaskSketch, SketchShardRunner)
+	b.Register(TaskSweepGroup, echoRunner)
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +186,12 @@ func TestFaultCorruptHeartbeat(t *testing.T) {
 
 	res := <-resCh
 	if res.err != nil {
-		t.Fatalf("ShardedSketch: %v", res.err)
+		t.Fatalf("plan: %v", res.err)
 	}
-	if !bytes.Equal(sketchBits(t, res.mo), want) {
-		t.Fatalf("post-corruption sketch differs from serial accumulate")
-	}
+	checkResults(t, tasks, res.results)
 	first, msg, ok, err := st.TaskResult(parked.ID)
 	if err != nil || !ok || msg != "" {
-		t.Fatalf("reclaimed shard %s not completed: ok=%v msg=%q err=%v", parked.ID, ok, msg, err)
+		t.Fatalf("reclaimed task %s not completed: ok=%v msg=%q err=%v", parked.ID, ok, msg, err)
 	}
 
 	// Release the parked worker: it still holds a stale view of the task
@@ -230,14 +220,11 @@ func TestFaultCorruptHeartbeat(t *testing.T) {
 // TestFaultCoordinatorRestart crashes the coordinator after only part
 // of the plan has run. A fresh coordinator re-derives the same
 // content-addressed task ids from the same input, finds the finished
-// shards' done files, and only the remainder executes — each shard runs
+// tasks' done files, and only the remainder executes — each task runs
 // exactly once across both incarnations.
 func TestFaultCoordinatorRestart(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.f64")
-	writeTestSpool(t, path, 320, 5, 13)
-	const chunk, shards = 8, 4
-	want := serialSketchBytes(t, path, chunk)
+	tasks := fakePlan(4)
 
 	w, err := NewWorker(st, WorkerOptions{
 		Node: "w0", Poll: 2 * time.Millisecond, HeartbeatEvery: 10 * time.Millisecond,
@@ -245,7 +232,7 @@ func TestFaultCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(TaskSketch, SketchShardRunner)
+	w.Register(TaskSweepGroup, echoRunner)
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +241,8 @@ func TestFaultCoordinatorRestart(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// First incarnation: shard the file, enqueue only half the plan, and
-	// "crash" (drop the coordinator) once that half is done.
-	digests, err := st.SplitSpoolShards(path, chunk, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(digests) != shards {
-		t.Fatalf("split produced %d shards, want %d", len(digests), shards)
-	}
+	// First incarnation: enqueue only half the plan, and "crash" (drop
+	// the coordinator) once that half is done.
 	c1, err := NewCoordinator(st, CoordinatorOptions{
 		Node: "coord1", Workers: -1,
 		Poll: 5 * time.Millisecond, LeaseTTL: 2 * time.Second,
@@ -273,21 +253,13 @@ func TestFaultCoordinatorRestart(t *testing.T) {
 	if err := c1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var half []string
-	for i, d := range digests[:shards/2] {
-		task := NewSketchTask(d, chunk, i)
-		if err := st.Enqueue(task); err != nil {
-			t.Fatal(err)
-		}
-		half = append(half, task.ID)
-	}
-	if _, err := c1.Await(ctx, half); err != nil {
+	if _, err := runPlan(ctx, c1, tasks[:len(tasks)/2]); err != nil {
 		t.Fatalf("first incarnation: %v", err)
 	}
 	c1.Close()
 
-	// Second incarnation: the full plan over the same bytes. The two
-	// finished shards resolve from their done files without re-running.
+	// Second incarnation: the full plan over the same content. The two
+	// finished tasks resolve from their done files without re-running.
 	c2, err := NewCoordinator(st, CoordinatorOptions{
 		Node: "coord2", Workers: -1,
 		Poll: 5 * time.Millisecond, LeaseTTL: 2 * time.Second,
@@ -299,25 +271,24 @@ func TestFaultCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	mo, err := c2.ShardedSketch(ctx, path, chunk, shards)
+	results, err := runPlan(ctx, c2, fakePlan(len(tasks)))
 	if err != nil {
-		t.Fatalf("resumed ShardedSketch: %v", err)
+		t.Fatalf("resumed plan: %v", err)
 	}
-	if !bytes.Equal(sketchBits(t, mo), want) {
-		t.Fatalf("resumed sketch differs from serial accumulate")
-	}
-	if claimed, done, failed := w.Stats(); claimed != shards || done != shards || failed != 0 {
-		t.Fatalf("worker stats claimed=%d done=%d failed=%d, want each shard run exactly once (%d)", claimed, done, failed, shards)
+	checkResults(t, tasks, results)
+	n := int64(len(tasks))
+	if claimed, done, failed := w.Stats(); claimed != n || done != n || failed != 0 {
+		t.Fatalf("worker stats claimed=%d done=%d failed=%d, want each task run exactly once (%d)", claimed, done, failed, n)
 	}
 	// Complete writes a task's done file before it removes the claim
-	// file, so ShardedSketch can return while a worker is between the
-	// two steps; wait, within a deadline, for the queue to settle.
+	// file, so the plan can resolve while a worker is between the two
+	// steps; wait, within a deadline, for the queue to settle.
 	p, c, d := st.QueueStats()
-	for deadline := time.Now().Add(10 * time.Second); (p != 0 || c != 0 || d != shards) && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(10 * time.Second); (p != 0 || c != 0 || d != len(tasks)) && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)
 		p, c, d = st.QueueStats()
 	}
-	if p != 0 || c != 0 || d != shards {
-		t.Fatalf("queue pending=%d claimed=%d done=%d, want 0/0/%d", p, c, d, shards)
+	if p != 0 || c != 0 || d != len(tasks) {
+		t.Fatalf("queue pending=%d claimed=%d done=%d, want 0/0/%d", p, c, d, len(tasks))
 	}
 }

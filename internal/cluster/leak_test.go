@@ -5,7 +5,6 @@
 package cluster
 
 import (
-	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -36,9 +35,7 @@ func TestWorkerStopLeaksNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(TaskSketch, func(ctx context.Context, st *Store, tk *Task) ([]byte, error) {
-		return []byte("ok"), nil
-	})
+	w.Register(TaskSweepGroup, echoRunner)
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // design is deliberately database-free: every coordination primitive is
 // a filesystem operation whose atomicity POSIX already guarantees.
 //
-//	<dir>/cas/<sha256>        — content-addressed blobs (uploads, shards)
+//	<dir>/cas/<sha256>        — content-addressed blobs (uploads)
 //	<dir>/results/<sha256>    — cached result bytes, keyed on the
 //	                            assessment cache key's hash
 //	<dir>/tasks/pending/      — enqueued tasks, one JSON file each
@@ -290,7 +290,7 @@ func (s *Store) PutCachedResult(key string, body []byte) error {
 	})
 }
 
-// Heartbeat is one node's liveness record plus its /healthz gauges. The
+// Heartbeat is one node's liveness record plus its /v1/status gauges. The
 // Time field is the liveness signal: a node is alive iff its heartbeat
 // file parses and Time is within the lease TTL of now.
 type Heartbeat struct {
@@ -334,7 +334,7 @@ func (s *Store) nodeAlive(node string, ttl time.Duration, now time.Time) bool {
 }
 
 // Nodes returns every parseable heartbeat, sorted by ReadDir's name
-// order. Corrupt heartbeat files are skipped — /healthz reports what can
+// order. Corrupt heartbeat files are skipped — /v1/status reports what can
 // be known, and the reclaim path already treats those nodes as dead.
 func (s *Store) Nodes() ([]Heartbeat, error) {
 	entries, err := s.fs.ReadDir(s.nodesDir())
@@ -357,7 +357,7 @@ func (s *Store) Nodes() ([]Heartbeat, error) {
 }
 
 // QueueStats counts the task files in each lifecycle directory — the
-// /healthz cluster gauges.
+// /v1/status cluster gauges.
 func (s *Store) QueueStats() (pending, claimed, done int) {
 	count := func(dir string) int {
 		entries, err := s.fs.ReadDir(dir)

@@ -14,26 +14,16 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
 
-// Task kinds.
-const (
-	// TaskSketch builds the per-chunk moment sketches of one spool shard.
-	TaskSketch = "sketch"
-	// TaskSweepGroup executes one perturbation group of a compiled plan
-	// end-to-end — perturb, shared sketch, every attack and utility of
-	// the group's points — against the content-addressed upload; a plain
-	// assessment job is a one-point group (the server registers its
-	// runner; the cluster package only routes it).
-	TaskSweepGroup = "sweepgroup"
-	// TaskScore runs one attack of a streamed assessment's scoring pass
-	// against the content-addressed original/disguised pair (the server
-	// registers its runner).
-	TaskScore = "score"
-)
+// TaskSweepGroup is the one task kind: it executes one perturbation
+// group of a compiled plan end-to-end — perturb, shared sketch, every
+// attack and utility of the group's points — against the
+// content-addressed upload; a plain assessment job is a one-point group
+// (the server registers its runner; the cluster package only routes it).
+const TaskSweepGroup = "sweepgroup"
 
 // Task is one unit of claimable work. The ID is derived from the task's
 // content (kind plus its input digests), which makes Enqueue idempotent,
@@ -43,16 +33,8 @@ type Task struct {
 	ID   string `json:"id"`
 	Type string `json:"type"`
 
-	// Sketch tasks: the CAS digest of the shard CSV and the chunk size
-	// to scan it with. Shard is the coordinator's merge-order index; it
-	// is carried for observability but is not part of the ID — the same
-	// shard bytes yield the same sketches wherever they sit in the file.
-	ShardDigest string `json:"shard_digest,omitempty"`
-	Chunk       int    `json:"chunk,omitempty"`
-	Shard       int    `json:"shard,omitempty"`
-
-	// Sweep-group and score tasks: the server-interpreted JSON spec and
-	// the CAS digest of the upload it runs against.
+	// The server-interpreted JSON spec and the CAS digest of the upload
+	// it runs against.
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Digest string          `json:"digest,omitempty"`
 
@@ -64,17 +46,6 @@ type Task struct {
 func taskID(parts ...string) string {
 	sum := sha256.Sum256([]byte(strings.Join(parts, "|")))
 	return hex.EncodeToString(sum[:])
-}
-
-// NewSketchTask builds the sketch task for one shard.
-func NewSketchTask(shardDigest string, chunk, shard int) Task {
-	return Task{
-		ID:          taskID("sketch", shardDigest, strconv.Itoa(chunk)),
-		Type:        TaskSketch,
-		ShardDigest: shardDigest,
-		Chunk:       chunk,
-		Shard:       shard,
-	}
 }
 
 // NewSweepGroupTask builds the task for one perturbation group of a
@@ -92,25 +63,10 @@ func NewSweepGroupTask(spec json.RawMessage, digest string) Task {
 	}
 }
 
-// NewScoreTask builds the task for one attack of a streamed
-// assessment's scoring pass. The spec carries the attack selection and
-// the disguised copy's digest; Digest addresses the original upload.
-func NewScoreTask(spec json.RawMessage, digest string) Task {
-	return Task{
-		ID:     taskID("score", string(spec), digest),
-		Type:   TaskScore,
-		Spec:   append(json.RawMessage(nil), spec...),
-		Digest: digest,
-	}
-}
-
 // validate rejects tasks whose references could escape the state dir.
 func (t *Task) validate() error {
 	if !hexDigest(t.ID) {
 		return fmt.Errorf("cluster: task id %q is not a hex digest", t.ID)
-	}
-	if t.ShardDigest != "" && !hexDigest(t.ShardDigest) {
-		return fmt.Errorf("cluster: task %s: shard digest %q is not a hex digest", t.ID, t.ShardDigest)
 	}
 	if t.Digest != "" && !hexDigest(t.Digest) {
 		return fmt.Errorf("cluster: task %s: upload digest %q is not a hex digest", t.ID, t.Digest)
@@ -262,7 +218,7 @@ func (s *Store) Complete(t *Task, result []byte, taskErr string) error {
 
 // TaskResult reads a task's completion envelope. ok is false while the
 // task is still pending or claimed. Transient read faults (a device
-// hiccup under a polling Await) retry before surfacing; a missing file
+// hiccup under a polling AwaitFunc) retry before surfacing; a missing file
 // is not a fault, just "not done yet".
 func (s *Store) TaskResult(id string) (result []byte, taskErr string, ok bool, err error) {
 	var body []byte
@@ -288,7 +244,7 @@ func (s *Store) TaskResult(id string) (result []byte, taskErr string, ok bool, e
 // whose owner is dead (no heartbeat, a corrupt one, or one older than
 // ttl) to the pending queue. It returns how many leases were reclaimed.
 // Any node may run this — typically the coordinator, while it waits on
-// its shard tasks.
+// its tasks.
 func (s *Store) ReclaimExpired(ttl time.Duration, now time.Time) (int, error) {
 	entries, err := s.fs.ReadDir(s.claimedDir())
 	if err != nil {

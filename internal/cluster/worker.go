@@ -20,7 +20,7 @@ type TaskRunner func(ctx context.Context, st *Store, t *Task) ([]byte, error)
 // WorkerHooks are test seams for the fault-injection harness.
 type WorkerHooks struct {
 	// BeforeRun, when non-nil, runs after a task is claimed and before
-	// its runner starts. The harness uses it to hold a worker mid-shard
+	// its runner starts. The harness uses it to hold a worker mid-task
 	// while the test kills it or corrupts its heartbeat.
 	BeforeRun func(t *Task)
 }
@@ -30,7 +30,7 @@ type WorkerOptions struct {
 	// Node is this worker's cluster-wide identity (required,
 	// filename-safe). Claim files and the heartbeat carry it.
 	Node string
-	// Role is reported in the heartbeat for /healthz ("worker",
+	// Role is reported in the heartbeat for /v1/status ("worker",
 	// "coordinator", ...). Default "worker".
 	Role string
 	// Poll is how long to sleep when no task is claimable (default 25ms).
@@ -131,7 +131,7 @@ func (w *Worker) Stop() {
 // Kill simulates a crash: the heartbeat goes silent immediately and a
 // claimed task is NOT released — it stays leased to a dead node until
 // lease expiry reclaims it. This is the fault-injection harness's
-// "kill -9 mid-shard". Unlike Stop it does not wait for the loops: a
+// "kill -9 mid-task". Unlike Stop it does not wait for the loops: a
 // crash doesn't wait for anything (and the harness kills workers that
 // are deliberately blocked mid-task).
 func (w *Worker) Kill() {
@@ -164,7 +164,7 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.ctx.Done():
 			// A killed worker's heartbeat goes silent exactly like a
 			// crashed process's would; a graceful stop writes one last
-			// beat so its terminal gauges are visible on /healthz.
+			// beat so its terminal gauges are visible on /v1/status.
 			if !w.killed.Load() {
 				if err := w.store.WriteHeartbeat(w.heartbeat()); err != nil {
 					w.opts.Log.Printf("cluster: %s: final heartbeat: %v", w.opts.Node, err)
@@ -241,7 +241,7 @@ func (w *Worker) runClaimed(t *Task) {
 		hook(t)
 	}
 	if w.killed.Load() {
-		// Crashed mid-shard: abandon the lease for expiry to reclaim.
+		// Crashed mid-task: abandon the lease for expiry to reclaim.
 		return
 	}
 	runner, ok := w.runners[t.Type]

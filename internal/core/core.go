@@ -181,14 +181,6 @@ func sortResults(results []AttackResult) {
 	})
 }
 
-// SortResults applies the canonical report ordering (sortResults) to a
-// result slice assembled outside the evaluators. The cluster's sharded
-// scoring pass merges per-attack results computed on different nodes and
-// must reproduce the serial report's ordering exactly; the comparison is
-// a total order over distinct attack names, so the merged order cannot
-// depend on task completion order.
-func SortResults(results []AttackResult) { sortResults(results) }
-
 // MostDangerous returns the successful attack with the lowest RMSE, or
 // nil when every attack failed.
 func (p *PrivacyReport) MostDangerous() *AttackResult {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"randpriv/internal/faultfs"
 	"randpriv/internal/mat"
@@ -147,11 +146,6 @@ func ReadSpool(open func() (io.ReadCloser, error), chunkRows int) (*SpoolSource,
 		return nil, err
 	}
 	return s, nil
-}
-
-// OpenSpool is ReadSpool over a file path.
-func OpenSpool(path string, chunkRows int) (*SpoolSource, error) {
-	return ReadSpool(func() (io.ReadCloser, error) { return os.Open(path) }, chunkRows)
 }
 
 // Cols returns the spool's column count.
@@ -283,9 +277,6 @@ func CreateSpool(fsys faultfs.FS, dir, pattern string, cols int, fill func(strea
 	}
 	return &Spool{fs: fsys, path: f.Name()}, nil
 }
-
-// Path returns the spool file's path.
-func (sp *Spool) Path() string { return sp.path }
 
 // Open returns a chunked source over the spool.
 func (sp *Spool) Open(chunkRows int) (*SpoolSource, error) {

@@ -1,8 +1,8 @@
 // Package mat implements the dense linear algebra needed by the
 // randomization/reconstruction library: matrix arithmetic, LU and Cholesky
 // factorizations, Gram–Schmidt orthonormalization, and symmetric
-// eigendecomposition (Householder + implicit-shift QL, with a cyclic
-// Jacobi fallback for cross-validation).
+// eigendecomposition (Householder + implicit-shift QL, cross-validated
+// in the package tests against a cyclic Jacobi oracle).
 //
 // The package is self-contained (standard library only) and sized for the
 // problem scales in Huang, Du & Chen (SIGMOD 2005): matrices up to a few

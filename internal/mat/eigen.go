@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Eigen holds the eigendecomposition of a symmetric matrix A = Q·Λ·Qᵀ.
@@ -29,13 +28,13 @@ const machEps = 2.220446049250313e-16
 // EigenSym computes the eigendecomposition of the symmetric matrix a by
 // Householder tridiagonalization followed by implicit-shift QL — one
 // O(m³) reduction plus an O(m²)-per-eigenvalue iteration, an order of
-// magnitude faster than the cyclic Jacobi method (EigenSymJacobi), which
-// pays ~10 full O(m³) sweeps on the same input. The input must be
-// symmetric; it is symmetrized internally to guard against small
-// asymmetries from floating-point covariance estimation.
+// magnitude faster than the cyclic Jacobi method, which pays ~10 full
+// O(m³) sweeps on the same input. The input must be symmetric; it is
+// symmetrized internally to guard against small asymmetries from
+// floating-point covariance estimation.
 //
-// EigenSymJacobi is kept as an independent fallback; the two solvers
-// cross-validate to 1e-9 in the package tests.
+// The package tests cross-validate it to 1e-9 against a cyclic Jacobi
+// solver kept there as an independent oracle.
 func EigenSym(a *Dense) (*Eigen, error) { return EigenSymWS(nil, a) }
 
 // EigenSymWS is EigenSym with every temporary — and the returned Values
@@ -253,125 +252,6 @@ func qlImplicitShift(d, e, z []float64, n int) error {
 		}
 	}
 	return nil
-}
-
-// maxJacobiSweeps bounds the cyclic Jacobi iteration. Convergence for
-// well-conditioned symmetric matrices is quadratic; 64 sweeps is far more
-// than needed at m ≤ a few hundred and serves as a hard safety stop.
-const maxJacobiSweeps = 64
-
-// EigenSymJacobi computes the eigendecomposition of the symmetric matrix
-// a using the cyclic Jacobi rotation method. It is the pre-PR-4 solver,
-// kept as an independent reference implementation: it costs ~10 full
-// O(m³) sweeps where EigenSym pays one O(m³) Householder reduction, but
-// its rotations are applied directly to the input, so the package tests
-// cross-validate the two to 1e-9. The input must be symmetric; the
-// strictly upper triangle is trusted (a is symmetrized internally to
-// guard against small asymmetries from floating-point covariance
-// estimation).
-func EigenSymJacobi(a *Dense) (*Eigen, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, fmt.Errorf("mat: EigenSymJacobi of non-square %dx%d matrix", a.rows, a.cols)
-	}
-	if n == 0 {
-		return &Eigen{Values: nil, Vectors: Zeros(0, 0)}, nil
-	}
-	// Work on a symmetrized copy.
-	w := Zeros(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w.data[i*n+j] = 0.5 * (a.data[i*n+j] + a.data[j*n+i])
-		}
-	}
-	v := Identity(n)
-	wd, vd := w.data, v.data
-
-	offDiag := func() float64 {
-		var s float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				s += wd[i*n+j] * wd[i*n+j]
-			}
-		}
-		return math.Sqrt(2 * s)
-	}
-
-	scale := MaxAbs(w)
-	if scale == 0 {
-		scale = 1
-	}
-	tol := 1e-14 * scale * float64(n)
-
-	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
-		if offDiag() <= tol {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := wd[p*n+q]
-				if math.Abs(apq) <= 1e-300 {
-					continue
-				}
-				app := wd[p*n+p]
-				aqq := wd[q*n+q]
-				// Compute the Jacobi rotation annihilating (p,q).
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if math.Abs(theta) > 1e154 {
-					t = 1 / (2 * theta)
-				} else {
-					t = 1 / (math.Abs(theta) + math.Sqrt(1+theta*theta))
-					if theta < 0 {
-						t = -t
-					}
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-
-				// Update rows/cols p and q of W (symmetric rotation).
-				for k := 0; k < n; k++ {
-					akp := wd[k*n+p]
-					akq := wd[k*n+q]
-					wd[k*n+p] = c*akp - s*akq
-					wd[k*n+q] = s*akp + c*akq
-				}
-				for k := 0; k < n; k++ {
-					apk := wd[p*n+k]
-					aqk := wd[q*n+k]
-					wd[p*n+k] = c*apk - s*aqk
-					wd[q*n+k] = s*apk + c*aqk
-				}
-				// Accumulate eigenvectors.
-				for k := 0; k < n; k++ {
-					vkp := vd[k*n+p]
-					vkq := vd[k*n+q]
-					vd[k*n+p] = c*vkp - s*vkq
-					vd[k*n+q] = s*vkp + c*vkq
-				}
-			}
-		}
-	}
-
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = wd[i*n+i]
-	}
-	// Sort descending, permuting eigenvector columns to match.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return vals[idx[i]] > vals[idx[j]] })
-	sortedVals := make([]float64, n)
-	vecs := Zeros(n, n)
-	for newCol, oldCol := range idx {
-		sortedVals[newCol] = vals[oldCol]
-		for r := 0; r < n; r++ {
-			vecs.data[r*n+newCol] = vd[r*n+oldCol]
-		}
-	}
-	return &Eigen{Values: sortedVals, Vectors: vecs}, nil
 }
 
 // Reconstruct returns Q·Λ·Qᵀ from the decomposition — primarily a testing

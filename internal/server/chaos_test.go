@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -130,9 +131,10 @@ func TestHealthzDegradedAfterBreakerTrips(t *testing.T) {
 	}
 }
 
-// TestDegradedClusterStillServes: with the breaker held open, /v1/assess
-// must fall back to byte-identical serial execution — degradation is
-// invisible to the client except through /healthz.
+// TestDegradedClusterStillServes: with the breaker held open, a job is
+// not delegated — it runs locally and stores the single-process bytes,
+// and no task reaches the queue. Degradation is invisible to the client
+// except through /healthz.
 func TestDegradedClusterStillServes(t *testing.T) {
 	in := testCSV(t, 120, 3, 2, 6)
 	const q = "?sigma=5&seed=3&chunk=32&stream=1"
@@ -148,12 +150,19 @@ func TestDegradedClusterStillServes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.breaker.Failure(now)
 	}
-	status, _, got := post(t, ts, "/v1/assess"+q, in)
-	if status != http.StatusOK {
-		t.Fatalf("degraded node: status %d (body %s), want 200 via serial fallback", status, got)
+	js := submitJob(t, ts, q, in)
+	if final := waitJob(t, ts, js.ID); final.State != "done" {
+		t.Fatalf("degraded node: job state %s (error %q), want done via the local path", final.State, final.Error)
 	}
-	if string(got) != string(want) {
-		t.Error("degraded node served different bytes than the single-process golden")
+	status, got := getResult(t, ts, js.ID)
+	if status != http.StatusOK {
+		t.Fatalf("degraded node: result status %d", status)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("degraded node stored different bytes than the single-process golden")
+	}
+	if st := getClusterStatus(t, ts); st.TasksDone != 0 || len(st.TasksByKind) != 0 {
+		t.Errorf("degraded node delegated the job: tasks_done=%d kinds=%v, want no task", st.TasksDone, st.TasksByKind)
 	}
 }
 

@@ -12,37 +12,31 @@
 //     → every point's battery) by whichever node claims it, with the
 //     coordinator merging the group envelopes back in grid order. The
 //     result is byte-identical to single-process execution because both
-//     paths run the same sweep.GroupExec. The shared result cache —
-//     keyed on the same sweep.CacheKey as the in-process LRU — serves
-//     repeats across every node that shares the directory.
-//   - A synchronous streamed assessment hands the engine a sweep.Offload
-//     that shards it across the cluster twice: the disguised copy's
-//     float64 spool is cut at chunk-multiple row offsets for the moment
-//     sketch through ShardedSketch (pass 1), and the scoring pass runs
-//     as one score task per battery attack (pass 2). Both merges are
-//     bit-identical to the serial computation by construction, so these
-//     are purely accelerators.
+//     paths run the same sweep.GroupExec.
+//   - The shared result cache — keyed on the same sweep.CacheKey as the
+//     in-process LRU — serves repeats across every node that shares the
+//     directory, synchronous /v1/assess included. A synchronous
+//     assessment that misses both caches runs on the local engine, as it
+//     does on a single-process server: it never waits on the task queue.
 //   - GET /v1/status grows a cluster section with per-node heartbeat
 //     gauges and the task-queue depths, per task kind.
 //
-// Every cluster path falls back to the local serial computation on any
-// infrastructure error — the cluster is an accelerator, the single
-// process the reference. Fallback is always legal because both paths
-// produce byte-identical results.
+// Delegation falls back to the local computation on any infrastructure
+// error — the cluster is an accelerator, the single process the
+// reference. Fallback is always legal because both paths produce
+// byte-identical results.
 
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
 	"randpriv/internal/cluster"
-	"randpriv/internal/core"
 	"randpriv/internal/dataset"
 	"randpriv/internal/jobs"
 	"randpriv/internal/mat"
@@ -100,16 +94,15 @@ func defaultNodeID() string {
 	return fmt.Sprintf("%s-%d", b.String(), os.Getpid())
 }
 
-// RegisterRunners installs this server's runner for every cluster task
-// kind on r — a coordinator's embedded claim loops or a worker-role
-// process's claim loops. It is the one list of task kinds the cluster
-// carries: sketch, sweepgroup and score.
+// RegisterRunners installs this server's runner for the cluster's one
+// task kind, sweepgroup, on r — a coordinator's embedded claim loops or
+// a worker-role process's claim loops. A task of any other kind (an
+// older binary's sketch or score task) fails terminally with the
+// worker's "no runner" error.
 func (s *Server) RegisterRunners(r interface {
 	Register(typ string, run cluster.TaskRunner)
 }) {
-	r.Register(cluster.TaskSketch, cluster.SketchShardRunner)
 	r.Register(cluster.TaskSweepGroup, s.ClusterSweepGroupRunner())
-	r.Register(cluster.TaskScore, s.ClusterScoreRunner())
 }
 
 // sweepGroupSpec is the wire form of one delegated sweep-group task: the
@@ -148,9 +141,7 @@ type groupEnvelope struct {
 // the single-process paths drive, which is what keeps the merged result
 // byte-identical. Each computed report is published to the shared
 // result cache under the same key a standalone /v1/assess would use,
-// and cache-warm points are served without recompute. The engine runs
-// without an Offload: a task spawning tasks deadlocks a lone worker on
-// its own queue.
+// and cache-warm points are served without recompute.
 func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
 	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
 		var gs sweepGroupSpec
@@ -338,242 +329,7 @@ func mergeGroups(plan *sweep.Plan, envs []groupEnvelope, digest string, cols int
 	return sweep.MarshalResult(res)
 }
 
-// clusterOffload is the sweep.Offload the synchronous /v1/assess path
-// hands the engine in cluster mode: it shards a streamed point's shared
-// sketch and its scoring pass across the cluster's workers. Each
-// attempt is deadline-bounded by ClusterDelegateTimeout and gated by the
-// delegation breaker, and falls back to the byte-identical serial path
-// on any error.
-type clusterOffload struct{ s *Server }
-
-// Sketch builds the shared pass-1 sketch: shard the disguised float64
-// spool at path across alive workers, or fall back to serial. Both
-// branches are bit-identical to recon.SketchSource over the same chunk
-// partition, so the report bytes cannot depend on which one ran.
-//
-// A cluster losing its workers mid-pass costs one bounded wait, trips
-// the breaker, and every following sketch goes serial immediately until
-// the cooldown expires. Every sharding error feeds the breaker — unlike
-// job delegation there is no ambiguity, because the serial path computes
-// the identical moments either way.
-func (o clusterOffload) Sketch(ctx context.Context, path string, chunk int, serial core.SketchFn) (*stream.Moments, error) {
-	s := o.s
-	now := time.Now().UTC()
-	if !s.breaker.Allow(now) {
-		return serial()
-	}
-	shards := s.cluster.AliveWorkers(now)
-	if shards < 1 {
-		shards = 1
-	}
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
-	mo, err := s.cluster.ShardedSketch(sctx, path, chunk, shards)
-	cancel()
-	if err == nil {
-		s.breaker.Success()
-		return mo, nil
-	}
-	if ctx.Err() != nil {
-		// The request itself died; that is the caller's deadline, not
-		// the cluster's fault.
-		return nil, ctx.Err()
-	}
-	s.breaker.Failure(time.Now().UTC())
-	s.cfg.Log.Printf("randprivd: cluster sketch fell back to serial: %v", err)
-	return serial()
-}
-
-// scoreSpec is the wire form of one delegated scoring work unit: one
-// attack of a streamed assessment's second pass, against the
-// content-addressed (original, disguised) pair of float64 spools. The
-// task digest is the original spool's; the disguised spool travels
-// under its own digest. The NDR baseline is computed once on the
-// coordinator and shipped in the spec — float64 round-trips exactly
-// through encoding/json, so the worker's report fragment is
-// bit-identical to one computed in-process.
-// Params carries Attacks=[Attack] (normalized), so the same (attack,
-// data) unit deduplicates across requests with different batteries.
-type scoreSpec struct {
-	Params     sweep.Params `json:"params"`
-	Attack     string       `json:"attack"`
-	DisgDigest string       `json:"disg_digest"`
-	Baseline   float64      `json:"baseline"`
-}
-
-// scoreEnvelope is a score task's done-file payload: one attack's
-// result fields, exactly as core.AttackResult carries them.
-type scoreEnvelope struct {
-	Attack     string    `json:"attack"`
-	RMSE       float64   `json:"rmse,omitempty"`
-	ColumnRMSE []float64 `json:"column_rmse,omitempty"`
-	GainVsNDR  float64   `json:"gain_vs_ndr,omitempty"`
-	Error      string    `json:"error,omitempty"`
-}
-
-// ClusterScoreRunner returns the cluster.TaskRunner that executes one
-// delegated scoring unit: rebuild the point's defense (the noise model
-// the attack assumes), run exactly the one named attack through the
-// same sweep-engine battery path the serial assessment uses, and return
-// its result fields. A deterministic attack failure travels in the
-// envelope — the serial path embeds it in the report rather than
-// failing the assessment, and the merged report must do the same.
-// cmd/randprivd registers it on worker-role nodes.
-func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
-	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
-		var sc scoreSpec
-		if err := json.Unmarshal(t.Spec, &sc); err != nil {
-			return nil, fmt.Errorf("server: decode score task spec: %w", err)
-		}
-		if sc.Attack == "" {
-			return nil, fmt.Errorf("server: score task %s names no attack", t.ID)
-		}
-		if !st.HasBlob(t.Digest) {
-			return nil, fmt.Errorf("server: upload blob %s missing from the cluster store", t.Digest)
-		}
-		if !st.HasBlob(sc.DisgDigest) {
-			return nil, fmt.Errorf("server: disguised blob %s missing from the cluster store", sc.DisgDigest)
-		}
-		orig, err := dataset.OpenSpool(st.CASPath(t.Digest), sc.Params.Chunk)
-		if err != nil {
-			return nil, err
-		}
-		defer orig.Close()
-		disg, err := dataset.OpenSpool(st.CASPath(sc.DisgDigest), sc.Params.Chunk)
-		if err != nil {
-			return nil, err
-		}
-		defer disg.Close()
-		ws := s.jobWS.Get().(*mat.Workspace)
-		ws.Reset()
-		defer s.jobWS.Put(ws)
-		env := s.engine(ws)
-		origSrc := stream.ContextSource{Ctx: ctx, Src: orig}
-		disgSrc := stream.ContextSource{Ctx: ctx, Src: disg}
-		p := sc.Params
-		p.Attacks = []string{sc.Attack}
-		bd, err := env.BuildDefense(p, func() (*mat.Dense, error) {
-			mo, err := stream.Accumulate(origSrc, 1)
-			if err != nil {
-				return nil, fmt.Errorf("server: covariance pass: %w", err)
-			}
-			return mo.Covariance(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		baseline := sc.Baseline
-		rep, err := env.EvaluateStreamPoint(p, origSrc, disgSrc, bd, &baseline, nil)
-		if err != nil {
-			return nil, err
-		}
-		// A canceled context or a failed spool read is absorbed into the
-		// attack's error field; that must fail the task (it restarts
-		// elsewhere), not masquerade as a deterministic attack failure.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := orig.Err(); err != nil {
-			return nil, err
-		}
-		if err := disg.Err(); err != nil {
-			return nil, err
-		}
-		if len(rep.Results) != 1 {
-			return nil, fmt.Errorf("server: score task %s produced %d results, want 1", t.ID, len(rep.Results))
-		}
-		r := rep.Results[0]
-		out := scoreEnvelope{Attack: r.Attack, RMSE: r.RMSE, ColumnRMSE: r.ColumnRMSE, GainVsNDR: r.GainVsNDR}
-		if r.Err != nil {
-			out = scoreEnvelope{Attack: r.Attack, Error: r.Err.Error()}
-		}
-		return json.Marshal(out)
-	}
-}
-
-// Score shards a streamed point's scoring pass: one score task per
-// battery attack, each reconstructing against the content-addressed
-// (original, disguised) spool pair on whichever node claims it, with
-// the group's NDR baseline shipped in the spec (float64 round-trips
-// exactly through encoding/json). The merged report reproduces the
-// serial evaluator's ordering via core.SortResults — a total order over
-// distinct attack names — so the response bytes cannot depend on task
-// completion order. ok == false means the engine must score serially
-// (single-attack battery, breaker open, or any infrastructure failure);
-// both paths are byte-identical, so falling back costs latency, never
-// correctness.
-func (o clusterOffload) Score(ctx context.Context, p sweep.Params, bd core.BuiltDefense, orig, disg string, ndr float64) (*core.PrivacyReport, bool) {
-	s := o.s
-	modes := sweep.AttackModes(p, bd.Noise)
-	if len(modes) < 2 {
-		return nil, false // nothing to fan out
-	}
-	if !s.breaker.Allow(time.Now().UTC()) {
-		return nil, false
-	}
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
-	defer cancel()
-	rep, err := s.scoreAttempt(sctx, p, bd, orig, disg, ndr, modes)
-	if err == nil {
-		s.breaker.Success()
-		return rep, true
-	}
-	if ctx.Err() != nil {
-		// The request itself died; the serial path will surface that.
-		return nil, false
-	}
-	s.breaker.Failure(time.Now().UTC())
-	s.cfg.Log.Printf("randprivd: cluster score pass fell back to serial: %v", err)
-	return nil, false
-}
-
-func (s *Server) scoreAttempt(ctx context.Context, p sweep.Params, bd core.BuiltDefense, orig, disg string, ndr float64, modes []string) (*core.PrivacyReport, error) {
-	st := s.cluster.Store()
-	origDigest, err := st.PutFile(orig)
-	if err != nil {
-		return nil, err
-	}
-	disgDigest, err := st.PutFile(disg)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, len(modes))
-	for i, mode := range modes {
-		sp := p
-		sp.Attacks = []string{mode}
-		spec, merr := json.Marshal(scoreSpec{Params: sp, Attack: mode, DisgDigest: disgDigest, Baseline: ndr})
-		if merr != nil {
-			return nil, merr
-		}
-		task := cluster.NewScoreTask(spec, origDigest)
-		if err := st.Enqueue(task); err != nil {
-			return nil, err
-		}
-		ids[i] = task.ID
-	}
-	envs, err := s.cluster.Await(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	rep := &core.PrivacyReport{
-		Scheme:      fmt.Sprintf("%s (streaming, %d-row chunks)", bd.Scheme.Describe(), p.Chunk),
-		NDRBaseline: ndr,
-	}
-	for _, raw := range envs {
-		var e scoreEnvelope
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return nil, err
-		}
-		r := core.AttackResult{Attack: e.Attack, RMSE: e.RMSE, ColumnRMSE: e.ColumnRMSE, GainVsNDR: e.GainVsNDR}
-		if e.Error != "" {
-			r = core.AttackResult{Attack: e.Attack, Err: errors.New(e.Error)}
-		}
-		rep.Results = append(rep.Results, r)
-	}
-	core.SortResults(rep.Results)
-	return rep, nil
-}
-
-// clusterNodeStatus is one node's /healthz row, straight from its
+// clusterNodeStatus is one node's /v1/status row, straight from its
 // heartbeat file.
 type clusterNodeStatus struct {
 	Node         string  `json:"node"`
@@ -585,28 +341,29 @@ type clusterNodeStatus struct {
 	TasksFailed  int64   `json:"tasks_failed"`
 }
 
-// clusterStatus is the /healthz cluster section.
+// clusterStatus is the /v1/status cluster section.
 type clusterStatus struct {
 	Node         string `json:"node"`
 	AliveWorkers int    `json:"alive_workers"`
 	TasksPending int    `json:"tasks_pending"`
 	TasksClaimed int    `json:"tasks_claimed"`
 	TasksDone    int    `json:"tasks_done"`
-	// Degraded is true while the delegation breaker is open: the node is
-	// serving everything through the byte-identical serial path because
-	// the cluster infrastructure kept failing. BreakerTrips counts how
-	// many times the breaker has opened since the server started.
+	// Degraded is true while the delegation breaker is open: the node
+	// runs its jobs and sweeps locally, on the byte-identical serial
+	// path, because the cluster infrastructure kept failing. BreakerTrips
+	// counts how many times the breaker has opened since the server
+	// started.
 	Degraded     bool  `json:"degraded"`
 	BreakerTrips int64 `json:"breaker_trips"`
-	// TasksByKind breaks the queue depths down per task kind (sketch,
-	// sweepgroup, score), so an operator can see which plane is backed
-	// up. Kinds with no tasks on disk are absent.
+	// TasksByKind breaks the queue depths down per task kind. This
+	// binary enqueues only sweepgroup; a kind an older binary left on
+	// disk shows up too. Kinds with no tasks on disk are absent.
 	TasksByKind map[string]cluster.KindStats `json:"tasks_by_kind,omitempty"`
 	Nodes       []clusterNodeStatus          `json:"nodes"`
 }
 
-// clusterHealth assembles the /healthz cluster section, or nil when the
-// server runs single-process.
+// clusterHealth assembles the /v1/status cluster section, or nil when
+// the server runs single-process.
 func (s *Server) clusterHealth() *clusterStatus {
 	if s.cluster == nil {
 		return nil

@@ -2,12 +2,18 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // clusterConfig returns a cluster-mode server Config over a fresh state
@@ -22,10 +28,10 @@ func clusterConfig(t *testing.T, n int) Config {
 }
 
 // TestClusterAssessByteIdentity is the server-level identity contract:
-// a cluster-mode node — with 1 and with 2 claim loops, so the sharded
-// sketch path and the delegated-job path both exercise real fan-out —
-// produces byte-identical /v1/assess responses and job results to a
-// single-process server, for both memory and streamed batteries.
+// a cluster-mode node — with 1 and with 2 claim loops, so delegated jobs
+// run on real claim loops — produces byte-identical /v1/assess responses
+// and job results to a single-process server, for both memory and
+// streamed batteries.
 func TestClusterAssessByteIdentity(t *testing.T) {
 	in := testCSV(t, 240, 4, 2, 9)
 	queries := []string{
@@ -250,44 +256,16 @@ func TestStatusGaugeStorm(t *testing.T) {
 	<-readerDone
 }
 
-// TestClusterQuotedHeaderKeepsBreakerClosed: attribute names may hold
-// commas and quotes (the CSV quotes them). The sharded sketch cuts the
-// disguised float64 spool at row offsets, so no spelling of the header
-// can make it decline: the cluster path runs, the bytes equal the
-// single-process response, and the delegation breaker stays closed.
-func TestClusterQuotedHeaderKeepsBreakerClosed(t *testing.T) {
-	raw := testCSV(t, 240, 4, 2, 9)
-	in := append([]byte(`"a,0",b1,b2,b3`), raw[bytes.IndexByte(raw, '\n'):]...)
-	_, plain := newTestServer(t, Config{})
-	_, ts := newTestServer(t, clusterConfig(t, 1))
-	for seed := 1; seed <= 3; seed++ {
-		q := fmt.Sprintf("/v1/assess?stream=1&attacks=pcadr&chunk=32&sigma=5&seed=%d", seed)
-		wantStatus, _, want := post(t, plain, q, in)
-		if wantStatus != http.StatusOK {
-			t.Fatalf("single-process %s: status %d, body %s", q, wantStatus, want)
-		}
-		status, _, got := post(t, ts, q, in)
-		if status != http.StatusOK {
-			t.Fatalf("cluster %s: status %d, body %s", q, status, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("cluster %s differs from the single-process response", q)
-		}
-	}
-
+// getClusterStatus reads the cluster section of GET /v1/status.
+func getClusterStatus(t *testing.T, ts *httptest.Server) *clusterStatus {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var st struct {
-		Cluster *struct {
-			Degraded     bool  `json:"degraded"`
-			BreakerTrips int64 `json:"breaker_trips"`
-			TasksByKind  map[string]struct {
-				Done int `json:"done"`
-			} `json:"tasks_by_kind"`
-		} `json:"cluster"`
+		Cluster *clusterStatus `json:"cluster"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -295,26 +273,129 @@ func TestClusterQuotedHeaderKeepsBreakerClosed(t *testing.T) {
 	if st.Cluster == nil {
 		t.Fatal("/v1/status has no cluster section")
 	}
-	if st.Cluster.BreakerTrips != 0 || st.Cluster.Degraded {
-		t.Errorf("breaker_trips = %d, degraded = %v; want 0 and false", st.Cluster.BreakerTrips, st.Cluster.Degraded)
+	return st.Cluster
+}
+
+// TestClusterSyncAssessRunsLocally: a synchronous /v1/assess runs on the
+// local engine in cluster mode exactly as on a single-process server,
+// and never touches the task queue — with one embedded claim loop, and
+// on a coordinator with no claim loop and no worker at all. Every query
+// (the default stream battery, a one-attack stream battery, memory
+// mode) over every upload (including a header that quotes a comma)
+// answers 200, X-Cache: miss and the single-process bytes within the
+// client's timeout, and afterwards /v1/status shows no task of any kind
+// and an untripped breaker.
+func TestClusterSyncAssessRunsLocally(t *testing.T) {
+	raw := testCSV(t, 240, 4, 2, 9)
+	uploads := map[string][]byte{
+		"plain":         raw,
+		"quoted-header": append([]byte(`"a,0",b1,b2,b3`), raw[bytes.IndexByte(raw, '\n'):]...),
 	}
-	if st.Cluster.TasksByKind["sketch"].Done == 0 {
-		t.Error("no sketch task ran: the sharded sketch path was not exercised")
+	queries := []string{
+		"?sigma=5&seed=3&chunk=32&stream=1",
+		"?sigma=5&seed=4&chunk=32&stream=1&attacks=pcadr",
+		"?sigma=5&seed=5&chunk=32",
+	}
+	_, plain := newTestServer(t, Config{})
+	golden := make(map[string][]byte)
+	for name, in := range uploads {
+		for _, q := range queries {
+			status, _, body := post(t, plain, "/v1/assess"+q, in)
+			if status != http.StatusOK {
+				t.Fatalf("single-process %s %s: status %d, body %s", name, q, status, body)
+			}
+			golden[name+q] = body
+		}
 	}
 
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, workers := range []int{1, -1} {
+		t.Run(fmt.Sprintf("cluster-workers=%d", workers), func(t *testing.T) {
+			_, ts := newTestServer(t, clusterConfig(t, workers))
+			for name, in := range uploads {
+				for _, q := range queries {
+					resp, err := client.Post(ts.URL+"/v1/assess"+q, "text/csv", bytes.NewReader(in))
+					if err != nil {
+						t.Fatalf("%s %s: %v", name, q, err)
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Fatalf("%s %s: read body: %v", name, q, err)
+					}
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s %s: status %d, body %s", name, q, resp.StatusCode, body)
+					}
+					if got := resp.Header.Get("X-Cache"); got != "miss" {
+						t.Errorf("%s %s: X-Cache = %q, want miss", name, q, got)
+					}
+					if !bytes.Equal(body, golden[name+q]) {
+						t.Errorf("%s %s: cluster response differs from the single-process golden", name, q)
+					}
+				}
+			}
+			st := getClusterStatus(t, ts)
+			if st.TasksPending != 0 || st.TasksClaimed != 0 || st.TasksDone != 0 || len(st.TasksByKind) != 0 {
+				t.Errorf("task queue after sync assessments: pending=%d claimed=%d done=%d kinds=%v, want no task at all",
+					st.TasksPending, st.TasksClaimed, st.TasksDone, st.TasksByKind)
+			}
+			if st.BreakerTrips != 0 || st.Degraded {
+				t.Errorf("breaker_trips = %d, degraded = %v; want 0 and false", st.BreakerTrips, st.Degraded)
+			}
+		})
+	}
+}
+
+// TestClusterFailsLeftoverTaskKinds: an older binary may have left a
+// sketch or score task in the cluster directory. This binary registers
+// a runner for sweepgroup only, so its claim loop completes each
+// leftover with the worker's terminal "no runner" error, on which the
+// older coordinator that enqueued it falls back to its serial path.
+func TestClusterFailsLeftoverTaskKinds(t *testing.T) {
+	dir := t.TempDir()
+	pending := filepath.Join(dir, "tasks", "pending")
+	if err := os.MkdirAll(pending, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	defer hresp.Body.Close()
-	var h struct {
-		Degraded bool `json:"degraded"`
+	hexOf := func(s string) string {
+		sum := sha256.Sum256([]byte(s))
+		return hex.EncodeToString(sum[:])
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
+	// The task files as an older binary wrote them.
+	leftovers := map[string]string{
+		"sketch": `{"id":"%s","type":"sketch","shard_digest":"%s","chunk":32,"shard":1}`,
+		"score":  `{"id":"%s","type":"score","spec":{"attack":"pcadr"},"digest":"%s"}`,
 	}
-	if h.Degraded {
-		t.Error("/healthz reports degraded after quoted-header assessments")
+	ids := make(map[string]string)
+	for kind, format := range leftovers {
+		id := hexOf("task-" + kind)
+		body := fmt.Sprintf(format, id, hexOf("blob-"+kind))
+		if err := os.WriteFile(filepath.Join(pending, id+".json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ids[kind] = id
+	}
+
+	s, _ := newTestServer(t, Config{ClusterDir: dir, NodeID: "new-node", ClusterWorkers: 1})
+	st := s.cluster.Store()
+	for kind, id := range ids {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			_, msg, ok, err := st.TaskResult(id)
+			if err != nil {
+				t.Fatalf("%s task: %v", kind, err)
+			}
+			if ok {
+				if want := fmt.Sprintf("cluster: no runner for task type %q", kind); msg != want {
+					t.Errorf("%s task error = %q, want %q", kind, msg, want)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("leftover %s task never completed", kind)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

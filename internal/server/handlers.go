@@ -491,12 +491,8 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) error {
 
 	var body []byte
 	err = s.pool.Do(r.Context(), func(ws *mat.Workspace) error {
-		env := s.engine(ws)
-		if s.cluster != nil {
-			env.Offload = clusterOffload{s}
-		}
 		var err error
-		body, err = s.assessOne(r.Context(), env, src, p.Params, up.digest, nil)
+		body, err = s.assessOne(r.Context(), s.engine(ws), src, p.Params, up.digest, nil)
 		return err
 	})
 	if err != nil {
@@ -570,8 +566,8 @@ func (s *Server) assessOne(ctx context.Context, env sweep.Env, src *dataset.Chun
 }
 
 // handleHealthz reports liveness only: GET /healthz. "degraded" is true
-// while the cluster delegation breaker is open (everything is being
-// served through the byte-identical serial path) — the one operational
+// while the cluster delegation breaker is open (jobs and sweeps run
+// locally, on the byte-identical serial path) — the one operational
 // bit a load balancer or probe should act on. Every other gauge moved to
 // GET /v1/status; this release keeps /healthz itself at its old path so
 // existing probes keep working, but dashboards reading pool/cache/job

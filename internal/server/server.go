@@ -5,7 +5,8 @@
 //	POST /v1/perturb  — disguise an uploaded data set, CSV in → CSV out
 //	POST /v1/attack   — reconstruct an uploaded disguised set, CSV in → CSV out
 //	POST /v1/assess   — perturb + full attack battery, CSV in → JSON report
-//	GET  /healthz     — liveness plus pool/cache gauges
+//	GET  /healthz     — liveness and the cluster's degraded flag
+//	GET  /v1/status   — pool, cache, job and cluster gauges
 //	GET  /v1/schemes  — the schemes and attacks this build serves
 //
 // Three mechanisms make it a service rather than a CLI in a loop:
@@ -90,10 +91,10 @@ type Config struct {
 	// (default: 4096; negative removes the cap).
 	SweepMaxPoints int
 	// ClusterDir, when set, turns the server into a cluster coordinator
-	// over this shared state directory: plain assessment jobs are
-	// delegated to the task queue, streamed assessments shard their
-	// sketch pass across alive workers, and /healthz reports per-node
-	// gauges. Empty (the default) keeps the server single-process.
+	// over this shared state directory: jobs and sweeps are delegated to
+	// the task queue, every node shares one result cache, and /v1/status
+	// reports per-node gauges. Empty (the default) keeps the server
+	// single-process.
 	ClusterDir string
 	// NodeID is this process's cluster identity (filename-safe; default:
 	// hostname-pid). Only meaningful with ClusterDir.
@@ -105,12 +106,6 @@ type Config struct {
 	// ClusterLeaseTTL is how stale a node's heartbeat may grow before
 	// its task leases are reclaimed by other nodes (default: 5s).
 	ClusterLeaseTTL time.Duration
-	// ClusterDelegateTimeout bounds how long a streamed assessment's
-	// sketch pass may wait on cluster shards before falling back to the
-	// byte-identical serial pass (default: 15s). Assessment-job
-	// delegation is NOT bounded by it — a delegated job legitimately
-	// computes for as long as the job allows.
-	ClusterDelegateTimeout time.Duration
 	// FS is the filesystem handle the durable planes run on — the spool,
 	// the jobs state dir, and the cluster state dir. Nil uses the OS
 	// passthrough; the chaos suite injects storage faults through it.
@@ -186,9 +181,6 @@ func (c Config) withDefaults() Config {
 		}
 		if c.ClusterLeaseTTL <= 0 {
 			c.ClusterLeaseTTL = 5 * time.Second
-		}
-		if c.ClusterDelegateTimeout <= 0 {
-			c.ClusterDelegateTimeout = 15 * time.Second
 		}
 		// ClusterWorkers passes through: the coordinator reads 0 as "one
 		// embedded worker" and negative as "none".

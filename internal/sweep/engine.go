@@ -17,10 +17,9 @@ import (
 )
 
 // Env is the assessment engine's wiring: the registry, a scratch
-// workspace, where stream mode keeps its spools, and an optional
-// cluster hook. Every entry point — /v1/assess, jobs, sweeps, cluster
-// tasks, the CLI — evaluates through it, so a grid point and a
-// standalone request are the same computation.
+// workspace and where stream mode keeps its spools. Every entry point —
+// /v1/assess, jobs, sweeps, cluster tasks, the CLI — evaluates through
+// it, so a grid point and a standalone request are the same computation.
 type Env struct {
 	Reg *core.Registry
 	WS  *mat.Workspace
@@ -28,25 +27,6 @@ type Env struct {
 	// The zero values are the OS filesystem and os.TempDir().
 	FS       faultfs.FS
 	SpoolDir string
-	// Offload, when non-nil, may take a stream point's shared sketch and
-	// its scoring pass to a cluster. Only a caller allowed to enqueue
-	// cluster tasks sets it: a task runner that did would deadlock a lone
-	// worker on its own queue.
-	Offload Offload
-}
-
-// Offload moves a stream point's heavy passes off the engine. Both
-// methods must return exactly what the serial computation would — the
-// same sketch bits, the same report — or fall back, so the response
-// bytes never depend on which path ran.
-type Offload interface {
-	// Sketch returns the moment sketch of the disguised spool at path,
-	// read in chunk-row chunks; serial is the in-process computation.
-	Sketch(ctx context.Context, path string, chunk int, serial core.SketchFn) (*stream.Moments, error)
-	// Score runs p's battery against the original and disguised spools
-	// at the given paths, with the group's NDR baseline ndr. ok == false
-	// declines, and the engine scores serially.
-	Score(ctx context.Context, p Params, bd core.BuiltDefense, orig, disg string, ndr float64) (rep *core.PrivacyReport, ok bool)
 }
 
 // PointRNG builds a point's perturbation RNG. The seed flows through the

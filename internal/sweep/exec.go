@@ -278,11 +278,7 @@ func (g *GroupExec) Run(ctx context.Context, key string, pts []Params) ([]GroupO
 		}
 		sketch = func() (*stream.Moments, error) {
 			return g.sketches.Get(key, func() (*stream.Moments, error) {
-				serial := func() (*stream.Moments, error) { return recon.SketchSource(disgSrc()) }
-				if g.env.Offload != nil {
-					return g.env.Offload.Sketch(ctx, disg.spool.Path(), g.chunk, serial)
-				}
-				return serial()
+				return recon.SketchSource(disgSrc())
 			})
 		}
 	}
@@ -307,13 +303,7 @@ func (g *GroupExec) point(ctx context.Context, p Params, bd core.BuiltDefense, d
 	var utilities []core.UtilityResult
 	var err error
 	if g.stream {
-		scored := false
-		if g.env.Offload != nil {
-			rep, scored = g.env.Offload.Score(ctx, p, bd, g.orig.spool.Path(), disg.spool.Path(), ndr)
-		}
-		if !scored {
-			rep, err = g.env.EvaluateStreamPoint(p, g.origSrc(), disgSrc(), bd, &ndr, sketch)
-		}
+		rep, err = g.env.EvaluateStreamPoint(p, g.origSrc(), disgSrc(), bd, &ndr, sketch)
 	} else {
 		rep, utilities, err = g.env.EvaluateMemoryPoint(ctx, p, g.orig.data, disg.data, bd)
 	}
