@@ -72,6 +72,16 @@ func main() {
 	}
 }
 
+// newServer is server.New, with a spool dir it cannot create reported
+// against the -spool flag that named it.
+func newServer(cfg server.Config) (*server.Server, error) {
+	srv, err := server.New(cfg)
+	if errors.Is(err, server.ErrSpoolDir) {
+		return nil, fmt.Errorf("-spool: %w", err)
+	}
+	return srv, err
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("randprivd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -121,7 +131,7 @@ func run(args []string) error {
 		}
 		return runWorker(*addr, *clusterDir, *nodeID, *clusterWorkers, *chunk, *spool, *timeout, logger)
 	}
-	srv, err := server.New(server.Config{
+	srv, err := newServer(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		MaxBodyBytes:   *maxBody,

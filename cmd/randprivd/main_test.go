@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,6 +12,13 @@ import (
 // features and must stay accepted (they only fail later for unrelated
 // reasons like a missing cluster dir, never for the sign).
 func TestFlagValidation(t *testing.T) {
+	// A -spool under a regular file cannot be created. The unusable
+	// -addr fails a run that got past the spool instead of serving.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badSpool := filepath.Join(file, "spool")
 	cases := []struct {
 		name    string
 		args    []string
@@ -22,6 +31,8 @@ func TestFlagValidation(t *testing.T) {
 		{"bad role", []string{"-role", "observer"}, "unknown -role"},
 		{"worker without cluster dir", []string{"-role", "worker"}, "-role worker requires -cluster-dir"},
 		{"worker with negative claim loops", []string{"-role", "worker", "-cluster-dir", t.TempDir(), "-cluster-workers", "-1"}, "-cluster-workers must be >= 0 for -role worker"},
+		{"spool under a regular file", []string{"-addr", "no-port", "-jobs-dir", t.TempDir(), "-spool", badSpool}, "-spool"},
+		{"worker spool under a regular file", []string{"-role", "worker", "-cluster-dir", t.TempDir(), "-addr", "no-port", "-spool", badSpool}, "-spool"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

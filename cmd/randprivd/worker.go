@@ -62,7 +62,7 @@ func runWorker(addr, dir, node string, nWorkers, chunk int, spool string, timeou
 	// this node never starts a coordinator of its own — with its job
 	// state tucked under a node-private directory (two processes must
 	// never share a jobs dir).
-	srv, err := server.New(server.Config{
+	srv, err := newServer(server.Config{
 		ChunkRows: chunk,
 		SpoolDir:  spool,
 		JobsDir:   filepath.Join(dir, "node-local", node, "jobs"),

@@ -3,7 +3,11 @@
 // design is deliberately database-free: every coordination primitive is
 // a filesystem operation whose atomicity POSIX already guarantees.
 //
-//	<dir>/cas/<sha256>        — content-addressed blobs (uploads)
+//	<dir>/cas/<sha256>.f64    — the validated float64 spool of the
+//	                            upload whose CSV hashes to <sha256>;
+//	                            every sweepgroup task reads its data here
+//	<dir>/cas/<sha256>        — content-addressed blobs (PutFile,
+//	                            PutBytes); no server path writes them
 //	<dir>/results/<sha256>    — cached result bytes, keyed on the
 //	                            assessment cache key's hash
 //	<dir>/tasks/pending/      — enqueued tasks, one JSON file each
@@ -259,6 +263,46 @@ func (s *Store) PutBytes(b []byte) (string, error) {
 		_, err := w.Write(b)
 		return err
 	})
+}
+
+// spoolPath is where the float64 spool of the upload whose CSV hashes
+// to digest lives. The spool is keyed on the CSV's digest, not its own,
+// so the digest that names a job's upload in cache keys and task IDs
+// names its spool too.
+func (s *Store) spoolPath(digest string) string {
+	return s.CASPath(digest) + ".f64"
+}
+
+// HasSpool reports whether the CAS holds the spool of the upload whose
+// CSV hashes to digest.
+func (s *Store) HasSpool(digest string) bool {
+	if !hexDigest(digest) {
+		return false
+	}
+	_, err := s.fs.Stat(s.spoolPath(digest))
+	return err == nil
+}
+
+// PutSpool commits the float64 spool of the upload whose CSV hashes to
+// digest, as write produces it. write runs once per commit attempt and
+// must replay its source from the top; an error it returns aborts the
+// commit and leaves no spool behind. The store never sees the CSV, so
+// write must check that it hashes to digest; callers check HasSpool
+// first, since a spool once committed never changes.
+func (s *Store) PutSpool(digest string, write func(io.Writer) error) error {
+	if !hexDigest(digest) {
+		return fmt.Errorf("cluster: spool digest %q is not a hex SHA-256", digest)
+	}
+	return s.writeAtomic(s.spoolPath(digest), write)
+}
+
+// OpenSpool opens the spool of the upload whose CSV hashes to digest
+// for reading, through the store's filesystem.
+func (s *Store) OpenSpool(digest string) (io.ReadCloser, error) {
+	if !hexDigest(digest) {
+		return nil, fmt.Errorf("cluster: spool digest %q is not a hex SHA-256", digest)
+	}
+	return s.fs.Open(s.spoolPath(digest))
 }
 
 // resultPath maps an arbitrary cache key onto its file: the key is

@@ -23,7 +23,6 @@ import (
 // reopens the underlying reader for another pass.
 type ChunkSource struct {
 	open      func() (io.ReadCloser, error)
-	path      string // file path for path-backed sources, else ""
 	chunkRows int
 	names     []string
 	rc        io.ReadCloser
@@ -48,19 +47,8 @@ func ReadCSVChunks(open func() (io.ReadCloser, error), chunkRows int) (*ChunkSou
 
 // OpenCSVChunks is ReadCSVChunks over a file path.
 func OpenCSVChunks(path string, chunkRows int) (*ChunkSource, error) {
-	s, err := ReadCSVChunks(func() (io.ReadCloser, error) { return os.Open(path) }, chunkRows)
-	if err != nil {
-		return nil, err
-	}
-	s.path = path
-	return s, nil
+	return ReadCSVChunks(func() (io.ReadCloser, error) { return os.Open(path) }, chunkRows)
 }
-
-// Path returns the backing file path for sources built by OpenCSVChunks,
-// or "" for reader-backed ones. Callers that want to hand the same bytes
-// to another process (the cluster's content-addressed store) use it to
-// reach the file without a copy.
-func (s *ChunkSource) Path() string { return s.path }
 
 // Names returns a copy of the attribute names from the header row.
 func (s *ChunkSource) Names() []string { return append([]string(nil), s.names...) }

@@ -240,6 +240,20 @@ func (s *SpoolSource) Close() error {
 	return err
 }
 
+// WriteSpool writes a whole cols-column spool to w: the header, then
+// every chunk fill appends, then the final flush. Errors come back
+// unchanged, like CreateSpool's.
+func WriteSpool(w io.Writer, cols int, fill func(stream.Sink) error) error {
+	sw, err := NewSpoolWriter(w, cols)
+	if err == nil {
+		err = fill(sw)
+	}
+	if err == nil {
+		err = sw.Flush()
+	}
+	return err
+}
+
 // Spool is a float64 spool file on a faultfs.FS: an upload after its
 // validation pass, or a disguised copy under attack. It is created,
 // reopened and removed through that FS, so storage faults injected
@@ -261,13 +275,7 @@ func CreateSpool(fsys faultfs.FS, dir, pattern string, cols int, fill func(strea
 	if err != nil {
 		return nil, fmt.Errorf("dataset: create spool: %w", err)
 	}
-	sw, err := NewSpoolWriter(f, cols)
-	if err == nil {
-		err = fill(sw)
-	}
-	if err == nil {
-		err = sw.Flush()
-	}
+	err = WriteSpool(f, cols, fill)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -11,8 +11,11 @@
 //     task per group, each executed end-to-end (perturb → shared sketch
 //     → every point's battery) by whichever node claims it, with the
 //     coordinator merging the group envelopes back in grid order. The
-//     result is byte-identical to single-process execution because both
-//     paths run the same sweep.GroupExec.
+//     coordinator is the only node that decodes the job's CSV: it puts
+//     the validated float64 spool into the CAS once per upload, and
+//     every task reads that spool in place. The result is
+//     byte-identical to single-process execution because both paths run
+//     the same sweep.GroupExec.
 //   - The shared result cache — keyed on the same sweep.CacheKey as the
 //     in-process LRU — serves repeats across every node that shares the
 //     directory, synchronous /v1/assess included. A synchronous
@@ -30,8 +33,12 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -135,13 +142,15 @@ type groupEnvelope struct {
 }
 
 // ClusterSweepGroupRunner returns the cluster.TaskRunner that executes
-// one perturbation group of a delegated job end-to-end: open the
-// content-addressed upload, perturb once, share the group's sketch and
-// baseline, and evaluate every point — through the same sweep.GroupExec
-// the single-process paths drive, which is what keeps the merged result
-// byte-identical. Each computed report is published to the shared
-// result cache under the same key a standalone /v1/assess would use,
-// and cache-warm points are served without recompute.
+// one perturbation group of a delegated job end-to-end: read the
+// upload's float64 spool in place from the CAS, perturb once, share the
+// group's sketch and baseline, and evaluate every point — through the
+// same sweep.GroupExec the single-process paths drive, which is what
+// keeps the merged result byte-identical. No worker parses CSV: the
+// coordinator decoded the upload once, into that spool. Each computed
+// report is published to the shared result cache under the same key a
+// standalone /v1/assess would use, and cache-warm points are served
+// without recompute.
 func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
 	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
 		var gs sweepGroupSpec
@@ -151,22 +160,19 @@ func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
 		if len(gs.Points) == 0 {
 			return nil, fmt.Errorf("server: sweep-group task %s carries no points", t.ID)
 		}
-		if !st.HasBlob(t.Digest) {
-			return nil, fmt.Errorf("server: upload blob %s missing from the cluster store", t.Digest)
+		// A coordinator older than the spool put only the CSV into the
+		// CAS; its task fails here and it runs the job itself.
+		if !st.HasSpool(t.Digest) {
+			return nil, fmt.Errorf("server: upload spool %s missing from the cluster store", t.Digest)
 		}
-		chunk := gs.Points[0].Chunk
-		src, err := dataset.OpenCSVChunks(st.CASPath(t.Digest), chunk)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
 		ws := s.jobWS.Get().(*mat.Workspace)
 		ws.Reset()
 		defer s.jobWS.Put(ws)
 		wrap := func(raw stream.Source) stream.Source {
 			return stream.ContextSource{Ctx: ctx, Src: raw}
 		}
-		ge, err := sweep.NewGroupExec(s.engine(ws), t.Digest, gs.Stream, chunk, len(src.Names()), src, wrap)
+		open := func() (io.ReadCloser, error) { return st.OpenSpool(t.Digest) }
+		ge, err := sweep.NewSpoolGroupExec(s.engine(ws), t.Digest, gs.Stream, gs.Points[0].Chunk, open, wrap)
 		if err != nil {
 			return nil, err
 		}
@@ -219,24 +225,41 @@ func (s *Server) delegate(ctx context.Context, plan *sweep.Plan, upload, digest 
 	st := s.cluster.Store()
 	// An open breaker short-circuits delegation entirely: the serial
 	// fallback is byte-identical, so degrading costs latency, never
-	// correctness. Only infrastructure failures (the store refusing the
-	// upload or the enqueue) feed the breaker — an assessment that fails
-	// deterministically would fail identically on the serial path and
-	// says nothing about the cluster's health.
+	// correctness. Only infrastructure failures (no live claim loop, the
+	// store refusing the upload's spool or the enqueue) feed the breaker
+	// — an assessment that fails deterministically would fail
+	// identically on the serial path and says nothing about the
+	// cluster's health.
 	if !s.breaker.Allow(time.Now().UTC()) {
 		s.cfg.Log.Printf("randprivd: cluster delegation breaker open (running job locally)")
 		return nil, nil, false
 	}
-	put, perr := st.PutFile(upload)
-	if perr != nil {
+	// Nothing would ever claim a task enqueued now, and the wait below
+	// has no deadline of its own: no claim loop is an infrastructure
+	// failure like a refused enqueue.
+	if s.cluster.AliveWorkers(time.Now().UTC()) == 0 {
 		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster store put: %v (running job locally)", perr)
+		s.cfg.Log.Printf("randprivd: no live cluster claim loop (running job locally)")
 		return nil, nil, false
 	}
-	if put != digest {
-		// The job dir and the spec disagree about the bytes; trust neither
-		// and let the local path recompute the digest's report honestly.
-		s.cfg.Log.Printf("randprivd: job upload digest %s != spec digest %s (running job locally)", put, digest)
+	if perr := s.putUploadSpool(ctx, st, upload, digest, plan.Points[0].Params.Chunk); perr != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err(), true // canceled job: not a cluster fault, and nothing left to run
+		}
+		var de *dataset.DataError
+		switch {
+		case errors.Is(perr, errUploadDigest):
+			// The job dir and the spec disagree about the bytes; trust
+			// neither and let the local path recompute the digest's report
+			// honestly.
+			s.cfg.Log.Printf("randprivd: job upload does not hash to spec digest %s (running job locally)", digest)
+		case errors.As(perr, &de):
+			// Bad data fails identically on the local path, which reports it.
+			s.cfg.Log.Printf("randprivd: job upload %s does not validate: %v (running job locally)", digest, perr)
+		default:
+			s.breaker.Failure(time.Now().UTC())
+			s.cfg.Log.Printf("randprivd: cluster spool put: %v (running job locally)", perr)
+		}
 		return nil, nil, false
 	}
 	ids := make([]string, len(plan.Groups))
@@ -293,6 +316,70 @@ func (s *Server) delegate(ctx context.Context, plan *sweep.Plan, upload, digest 
 		}
 	}
 	return envs, nil, true
+}
+
+// errUploadDigest marks a job upload whose bytes do not hash to the
+// digest its spec records.
+var errUploadDigest = errors.New("server: job upload does not hash to its spec digest")
+
+// putUploadSpool makes the CAS hold the float64 spool of the job's
+// upload, so that no worker parses CSV. The spool is written once per
+// digest: the first job over an upload decodes and validates its CSV
+// here, hashing the bytes as they are read; a later one only hashes the
+// upload against digest. Either way an upload that does not hash to
+// digest returns errUploadDigest and commits nothing, and data that
+// does not validate returns the *dataset.DataError the local path would.
+// Both reads of the CSV stop when ctx ends.
+func (s *Server) putUploadSpool(ctx context.Context, st *cluster.Store, upload, digest string, chunk int) error {
+	if st.HasSpool(digest) {
+		f, err := s.fs.Open(upload)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		h := sha256.New()
+		if _, err := io.Copy(h, ctxReader{ctx: ctx, r: f}); err != nil {
+			return fmt.Errorf("server: hash job upload: %w", err)
+		}
+		if hex.EncodeToString(h.Sum(nil)) != digest {
+			return errUploadDigest
+		}
+		return nil
+	}
+	return st.PutSpool(digest, func(w io.Writer) error {
+		h := sha256.New()
+		src, err := dataset.ReadCSVChunks(func() (io.ReadCloser, error) {
+			f, err := s.fs.Open(upload)
+			if err != nil {
+				return nil, err
+			}
+			h.Reset()
+			return hashingReader{io.TeeReader(f, h), f}, nil
+		}, chunk)
+		if err != nil {
+			// A header that does not parse is the client's, as on /v1/assess.
+			return &dataset.DataError{Err: err}
+		}
+		defer src.Close()
+		cols := len(src.Names())
+		if err := dataset.WriteSpool(w, cols, func(sink stream.Sink) error {
+			_, err := dataset.Validate(stream.ContextSource{Ctx: ctx, Src: src}, cols, sink)
+			return err
+		}); err != nil {
+			return err
+		}
+		// Validate read the CSV to EOF, so h has seen every byte.
+		if hex.EncodeToString(h.Sum(nil)) != digest {
+			return errUploadDigest
+		}
+		return nil
+	})
+}
+
+// hashingReader reads a file through a hash and closes the file.
+type hashingReader struct {
+	io.Reader
+	io.Closer
 }
 
 // mergeGroups assembles a delegated sweep's full-grid body from its

@@ -44,28 +44,7 @@ func goldenSweepBytes(t *testing.T, spec string, in []byte) []byte {
 // separate `randprivd -role worker` process.
 func externalWorker(t *testing.T, dir, node string, hooks cluster.WorkerHooks) *cluster.Worker {
 	t.Helper()
-	st, err := cluster.OpenStore(dir, cluster.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compute, err := New(Config{SpoolDir: t.TempDir(), JobsDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { compute.Close() })
-	w, err := cluster.NewWorker(st, cluster.WorkerOptions{
-		Node: node, Poll: 2 * time.Millisecond, HeartbeatEvery: 10 * time.Millisecond,
-		Hooks: hooks,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compute.RegisterRunners(w)
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
-	return w
+	return externalWorkerFS(t, dir, node, hooks, nil)
 }
 
 // TestClusterSweepDelegationByteIdentity is the tentpole contract: a

@@ -210,14 +210,25 @@ type Server struct {
 	mux     *http.ServeMux
 }
 
-// New builds a Server from cfg (zero-value fields take defaults). The
-// error is the jobs subsystem failing to open its state directory —
-// everything else is infallible.
+// ErrSpoolDir marks a New that failed because Config.SpoolDir could not
+// be created.
+var ErrSpoolDir = errors.New("server: cannot create spool dir")
+
+// New builds a Server from cfg (zero-value fields take defaults). It
+// creates the spool dir, and the jobs and cluster state dirs, if they
+// are missing; the error is one of them failing to open (a spool dir
+// failure wraps ErrSpoolDir) — everything else is infallible.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	fsys := faultfs.Default(cfg.FS)
+	// Created here, like the state dirs, so that a missing spool dir
+	// fails startup instead of every upload.
+	if err := fsys.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
+		return nil, fmt.Errorf("%w %s: %w", ErrSpoolDir, cfg.SpoolDir, err)
+	}
 	s := &Server{
 		cfg:   cfg,
-		fs:    faultfs.Default(cfg.FS),
+		fs:    fsys,
 		pool:  newWorkerPool(cfg.Workers, cfg.QueueDepth),
 		cache: newLRUCache(cfg.CacheEntries),
 		mux:   http.NewServeMux(),

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +125,24 @@ func TestStatusGauges(t *testing.T) {
 	}
 	if h.Workers != 2 || h.QueueDepth != 4 {
 		t.Errorf("/v1/status = %+v, want workers 2, queue depth 4", h)
+	}
+}
+
+// TestNewCreatesSpoolDir: New creates a spool dir that does not exist
+// yet, nested or not, so uploads into it succeed; one it cannot create
+// fails New with ErrSpoolDir instead of failing every upload.
+func TestNewCreatesSpoolDir(t *testing.T) {
+	_, ts := newTestServer(t, Config{SpoolDir: filepath.Join(t.TempDir(), "fresh", "nested")})
+	if status, _, out := post(t, ts, "/v1/assess?sigma=5&seed=1&chunk=32&stream=1", testCSV(t, 60, 3, 1, 2)); status != http.StatusOK {
+		t.Fatalf("upload into a fresh nested spool dir: status %d, body %s", status, out)
+	}
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{SpoolDir: filepath.Join(file, "spool"), JobsDir: t.TempDir()}); !errors.Is(err, ErrSpoolDir) {
+		t.Errorf("New with a spool dir under a regular file: err %v, want ErrSpoolDir", err)
 	}
 }
 

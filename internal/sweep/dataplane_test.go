@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -210,6 +212,114 @@ func TestSpoolPolicyFollowsMode(t *testing.T) {
 				t.Errorf("created %v, want the upload spool first and only once", fsys.created)
 			}
 		})
+	}
+}
+
+// TestSpoolGroupExecReadsInPlace: an evaluator over an upload that is
+// already a float64 spool gives the bytes of one over the CSV, in both
+// modes, and writes no upload spool of its own — only each stream
+// group's disguised spool — and its Close leaves the borrowed spool as
+// it found it. A spool cut mid-row fails construction with the read
+// error, not as client data.
+func TestSpoolGroupExecReadsInPlace(t *testing.T) {
+	path := writeTestCSV(t, 150, 4)
+	csv, err := dataset.OpenCSVChunks(path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer csv.Close()
+	cols := len(csv.Names())
+	var spool bytes.Buffer
+	if err := dataset.WriteSpool(&spool, cols, func(sink stream.Sink) error {
+		_, err := dataset.Validate(csv, cols, sink)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	borrowed := filepath.Join(t.TempDir(), "upload.f64")
+	if err := os.WriteFile(borrowed, spool.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (io.ReadCloser, error) { return os.Open(borrowed) }
+
+	for _, spec := range []string{
+		`{"defenses":[{"scheme":"additive","sigmas":[3,5]},{"scheme":"correlated","sigmas":[4]}],"chunk":32,"stream":true}`,
+		`{"defenses":[{"scheme":"additive","sigmas":[3,5]},{"scheme":"correlated","sigmas":[4]}],"chunk":32}`,
+	} {
+		env := Env{Reg: core.Builtins(), WS: mat.NewWorkspace()}
+		plan, err := Compile(env.Reg, mustExpand(t, spec, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("stream=%v", plan.Stream), func(t *testing.T) {
+			runAll := func(ge *GroupExec) [][]byte {
+				var bodies [][]byte
+				for _, g := range plan.Groups {
+					pts := make([]Params, len(g.Points))
+					for i, pi := range g.Points {
+						pts[i] = plan.Points[pi].Params
+					}
+					out, err := ge.Run(context.Background(), g.Key, pts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, oc := range out {
+						if oc.Err != "" {
+							t.Fatalf("point error %q", oc.Err)
+						}
+						bodies = append(bodies, oc.Body)
+					}
+				}
+				return bodies
+			}
+			ref, err := NewGroupExec(env, "d", plan.Stream, 32, cols, csv, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := runAll(ref)
+			ref.Close()
+
+			fsys := &recordingFS{FS: faultfs.OS{}}
+			env.FS, env.SpoolDir = fsys, t.TempDir()
+			ge, err := NewSpoolGroupExec(env, "d", plan.Stream, 32, open, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ge.Rows() != ref.Rows() {
+				t.Errorf("rows = %d, want %d", ge.Rows(), ref.Rows())
+			}
+			got := runAll(ge)
+			ge.Close()
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("point %d: report over the borrowed spool differs from the one over the CSV", i)
+				}
+			}
+			disguised := 0
+			if plan.Stream {
+				disguised = len(plan.Groups)
+			}
+			if len(fsys.created) != disguised {
+				t.Errorf("created spools %v, want only the %d disguised ones", fsys.created, disguised)
+			}
+			if left := spoolFiles(t, env.SpoolDir); len(left) != 0 {
+				t.Errorf("after Close: spool dir holds %v, want nothing", left)
+			}
+			if after, err := os.ReadFile(borrowed); err != nil || !bytes.Equal(after, spool.Bytes()) {
+				t.Errorf("borrowed spool after Close: err %v, %d bytes, want it unchanged", err, len(after))
+			}
+		})
+	}
+
+	torn := filepath.Join(t.TempDir(), "torn.f64")
+	if err := os.WriteFile(torn, spool.Bytes()[:spool.Len()-4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	env := Env{Reg: core.Builtins(), WS: mat.NewWorkspace(), SpoolDir: t.TempDir()}
+	_, err = NewSpoolGroupExec(env, "d", true, 32, func() (io.ReadCloser, error) { return os.Open(torn) }, nil)
+	var de *dataset.DataError
+	if err == nil || errors.As(err, &de) || !strings.Contains(err.Error(), "truncated mid-row") {
+		t.Errorf("torn spool: err %v, want the mid-row read error, not a data error", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"io"
 
 	"randpriv/internal/core"
 	"randpriv/internal/dataset"
@@ -104,7 +105,9 @@ type GroupOutcome struct {
 // the validated upload and each group's disguised copy resident. Stream
 // mode holds both in float64 spools under Env.SpoolDir, so memory stays
 // O(chunk + m²) at any upload size: the upload spool lives until Close,
-// each disguised spool until its group ends.
+// each disguised spool until its group ends. An upload that arrives
+// already spooled (NewSpoolGroupExec) is read in place and never
+// removed: its owner keeps it.
 type GroupExec struct {
 	env      Env
 	digest   string
@@ -119,7 +122,9 @@ type GroupExec struct {
 
 // held is one data set the engine keeps for its passes: resident rows
 // in memory mode, a float64 spool and the one reader every pass resets
-// in stream mode.
+// in stream mode. spool is set only for a spool the engine wrote, and
+// close removes only that one; a borrowed spool has a reader and no
+// spool.
 type held struct {
 	data  *mat.Dense
 	spool *dataset.Spool
@@ -138,7 +143,7 @@ func openHeld(sp *dataset.Spool, chunk int) (*held, error) {
 }
 
 func (h *held) source(chunk int) stream.Source {
-	if h.spool == nil {
+	if h.src == nil {
 		return stream.NewMatrixSource(h.data, chunk)
 	}
 	return h.src
@@ -148,16 +153,26 @@ func (h *held) source(chunk int) stream.Source {
 // files a failed read under the attack that made it; a storage fault is
 // not an attack outcome, so no report may be built after one.
 func (h *held) err() error {
-	if h.spool == nil {
+	if h.src == nil {
 		return nil
 	}
 	return h.src.Err()
 }
 
 func (h *held) close() {
-	if h.spool != nil {
+	if h.src != nil {
 		h.src.Close()
-		h.spool.Remove()
+	}
+	h.spool.Remove()
+}
+
+func newGroupExec(env Env, digest string, streamMode bool, chunk, cols int, wrap func(stream.Source) stream.Source) *GroupExec {
+	if wrap == nil {
+		wrap = func(s stream.Source) stream.Source { return s }
+	}
+	return &GroupExec{
+		env: env, digest: digest, stream: streamMode, chunk: chunk,
+		cols: cols, wrap: wrap, sketches: stream.NewSketchCache(),
 	}
 }
 
@@ -168,23 +183,17 @@ func (h *held) close() {
 // thread cancellation, pass and chunk counting through it). Close
 // releases the upload spool.
 func NewGroupExec(env Env, digest string, streamMode bool, chunk, cols int, upload stream.Source, wrap func(stream.Source) stream.Source) (*GroupExec, error) {
-	if wrap == nil {
-		wrap = func(s stream.Source) stream.Source { return s }
-	}
-	g := &GroupExec{
-		env: env, digest: digest, stream: streamMode, chunk: chunk,
-		cols: cols, wrap: wrap, sketches: stream.NewSketchCache(),
-	}
+	g := newGroupExec(env, digest, streamMode, chunk, cols, wrap)
 	var err error
 	if streamMode {
 		var sp *dataset.Spool
-		sp, g.rows, err = dataset.ValidateSpool(env.FS, env.SpoolDir, wrap(upload), cols)
+		sp, g.rows, err = dataset.ValidateSpool(env.FS, env.SpoolDir, g.wrap(upload), cols)
 		if err == nil {
 			g.orig, err = openHeld(sp, chunk)
 		}
 	} else {
 		var col stream.Collector
-		g.rows, err = dataset.Validate(wrap(upload), cols, &col)
+		g.rows, err = dataset.Validate(g.wrap(upload), cols, &col)
 		g.orig = &held{data: col.Data}
 	}
 	if err != nil {
@@ -193,7 +202,51 @@ func NewGroupExec(env Env, digest string, streamMode bool, chunk, cols int, uplo
 	return g, nil
 }
 
-// Close removes the upload spool. Memory mode holds nothing to release.
+// NewSpoolGroupExec is NewGroupExec over an upload that is already a
+// float64 spool someone else owns, reopened through open once per pass
+// (a cluster task's spool in the CAS, for one). The evaluator reads it
+// in place in stream mode and collects it in memory
+// mode; either way its first pass still validates every chunk and counts
+// the rows, so a spool that does not hold finite rows of a fixed width
+// fails here as the CSV would have. A read error the spool hits on any
+// pass comes back as that error, never as an attack outcome. Close
+// closes the reader but leaves the spool to its owner.
+func NewSpoolGroupExec(env Env, digest string, streamMode bool, chunk int, open func() (io.ReadCloser, error), wrap func(stream.Source) stream.Source) (*GroupExec, error) {
+	src, err := dataset.ReadSpool(open, chunk)
+	if err != nil {
+		return nil, err
+	}
+	g := newGroupExec(env, digest, streamMode, chunk, src.Cols(), wrap)
+	var col stream.Collector
+	sink := stream.Sink(discard{})
+	if !streamMode {
+		sink = &col
+	}
+	g.rows, err = dataset.Validate(g.wrap(src), g.cols, sink)
+	if rerr := src.Err(); rerr != nil {
+		err = rerr
+	}
+	if err != nil {
+		src.Close()
+		return nil, err
+	}
+	if streamMode {
+		g.orig = &held{src: src}
+	} else {
+		src.Close()
+		g.orig = &held{data: col.Data}
+	}
+	return g, nil
+}
+
+// discard is the sink of a validation pass over rows already held.
+type discard struct{}
+
+func (discard) Append(*mat.Dense) error { return nil }
+
+// Close releases the upload: it removes a spool the evaluator wrote and
+// closes the reader of a borrowed one. Memory mode holds nothing to
+// release.
 func (g *GroupExec) Close() { g.orig.close() }
 
 // Rows returns the validated upload's row count.

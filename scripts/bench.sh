@@ -27,12 +27,13 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_PR8.json}"
 BENCHTIME="${2:-100x}"
 
-# BenchmarkAttackUDR has no entry in BENCH_PR8.json: bench_gate.py lists
-# it as missing from the baseline and does not gate it, but every
-# snapshot records it. BenchmarkEigenSymJacobi and BenchmarkShardedSketch
-# left the set with the code they measured; bench_gate.py lists their
-# BENCH_PR8.json entries as missing in the current run and skips them.
-PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkAttackUDR$|BenchmarkEigenSym$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$'
+# BenchmarkAttackUDR and BenchmarkClusterSweepJob have no entry in
+# BENCH_PR8.json: bench_gate.py lists them as missing from the baseline
+# and does not gate them, but every snapshot records them.
+# BenchmarkEigenSymJacobi and BenchmarkShardedSketch left the set with
+# the code they measured; bench_gate.py lists their BENCH_PR8.json
+# entries as missing in the current run and skips them.
+PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkAttackUDR$|BenchmarkEigenSym$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$|BenchmarkClusterSweepJob$'
 
 RAW="${OUT}.txt"
 echo "running benches (pattern: ${PATTERN}, benchtime: ${BENCHTIME}) ..." >&2

@@ -6,7 +6,9 @@
 # a single-process server, a 1-worker cluster and a 2-worker cluster; a
 # synchronous streamed assessment on the 2-worker cluster runs on the
 # coordinator itself — it enqueues no sketch or score task — and must
-# match the single-process response. This is the process-level
+# match the single-process response; and the CSV stays at the
+# coordinator: cluster B's CAS must hold the upload's float64 spool,
+# <sha256>.f64, and no <sha256> CSV blob. This is the process-level
 # version of the in-process identity tests
 # (TestClusterAssessByteIdentity, TestClusterSweepDelegationByteIdentity),
 # run in CI so the flag wiring, the worker role and the shared state
@@ -60,6 +62,15 @@ JOB_QUERY='sigma=5&seed=12&stream=1&chunk=32'
 cat >"$WORK/grid.json" <<'EOF'
 {"defenses":[{"scheme":"additive","sigmas":[4,5]},{"scheme":"correlated","sigmas":[5]}],"seeds":[3,9],"chunk":32,"stream":true}
 EOF
+
+# sha256_of FILE — print FILE's hex SHA-256.
+sha256_of() {
+    if command -v sha256sum >/dev/null 2>&1; then
+        sha256sum "$1" | cut -d' ' -f1
+    else
+        shasum -a 256 "$1" | cut -d' ' -f1
+    fi
+}
 
 # wait_http URL — poll until the endpoint answers.
 wait_http() {
@@ -195,6 +206,18 @@ curl -sf localhost:18083/v1/status | grep -q '"sweepgroup"' || {
     echo "FAIL: coordinator /v1/status shows no sweepgroup tasks; sweep was not delegated" >&2
     exit 1
 }
+# The coordinator decodes the CSV once, into a float64 spool in the CAS
+# keyed on the CSV's SHA-256; the workers read that spool, and the CSV
+# itself never enters the cluster dir.
+DIGEST="$(sha256_of "$WORK/data.csv")"
+[ -f "$WORK/clusterB/cas/${DIGEST}.f64" ] || {
+    echo "FAIL: cluster B's CAS holds no ${DIGEST}.f64 spool for the upload" >&2
+    exit 1
+}
+if [ -e "$WORK/clusterB/cas/${DIGEST}" ]; then
+    echo "FAIL: cluster B's CAS holds the upload's CSV blob ${DIGEST}" >&2
+    exit 1
+fi
 
 cmp "$WORK/base_job.json" "$WORK/one.json" || {
     echo "FAIL: 1-worker cluster result differs from single-process baseline" >&2
