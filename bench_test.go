@@ -14,7 +14,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"randpriv/internal/experiment"
@@ -206,21 +205,6 @@ func BenchmarkAblationOracle(b *testing.B) {
 	fmt.Printf("\nablation — oracle vs estimated covariance (m=50, p=5):\n%s\n", res)
 }
 
-// BenchmarkNoiseSweep runs the extension sweep of RMSE vs noise level.
-func BenchmarkNoiseSweep(b *testing.B) {
-	var fig *experiment.Figure
-	var err error
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		fig, err = experiment.NoiseSweep(cfg, 30, 5, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\n%s\n", fig)
-}
-
 // BenchmarkPartialDisclosure runs the §3 partial-value-disclosure sweep
 // (extension experiment): undisclosed-attribute RMSE as side-channel
 // knowledge grows, in the high-noise regime where the channel matters.
@@ -306,37 +290,6 @@ func BenchmarkAttackTemporalBEDR(b *testing.B) {
 		if _, err := attack.Reconstruct(pert.Y); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkParallelTrials measures the worker-pool trial runner on the
-// Figure 2 sweep (12 points, m=40, UDR skipped so the per-point cost is
-// dominated by the spectral attacks). The sub-benchmarks differ only in
-// Config.Workers; the figures they produce are verified identical, so the
-// ratio of workers=1 to workers=4 is pure parallel speedup.
-func BenchmarkParallelTrials(b *testing.B) {
-	cfg := experiment.Config{N: 1000, Sigma2: 25, Seed: 2005, SkipUDR: true}
-	sweep := func(workers int) (*experiment.Figure, error) {
-		c := cfg
-		c.Workers = workers
-		return experiment.Experiment2(c, nil)
-	}
-	baseline, err := sweep(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fig, err := sweep(workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !reflect.DeepEqual(fig.Points, baseline.Points) {
-					b.Fatalf("workers=%d produced a different figure than workers=1", workers)
-				}
-			}
-		})
 	}
 }
 

@@ -349,6 +349,8 @@ func toInts(vals []float64) []int {
 	return out
 }
 
+// runExperiment regenerates one paper figure; it is the other spelling
+// of 'randpriv sweep -figure N' and prints the same bytes.
 func runExperiment(args []string) error {
 	fs := newFlagSet("experiment")
 	id := fs.Int("id", 1, "figure number to regenerate (1-4)")
@@ -356,65 +358,57 @@ func runExperiment(args []string) error {
 	sigma := fs.Float64("sigma", 5, "noise standard deviation")
 	seed := fs.Int64("seed", 2005, "random seed")
 	skipUDR := fs.Bool("skip-udr", false, "skip the UDR series (much faster at m=100)")
-	csvPath := fs.String("csv", "", "also write the figure as CSV to this path")
-	sweep := fs.String("sweep", "", "comma-separated sweep values overriding the paper defaults (m for fig 1, p for fig 2, tail λ for fig 3, path t for fig 4)")
-	workers := fs.Int("workers", 0, "sweep-point worker pool size (0 = all cores); results are identical at any setting")
+	csvPath := fs.String("csv", "", "also write the figure as CSV to this path (figures 1-3)")
+	sweepVals := fs.String("sweep", "", "comma-separated sweep values overriding the paper defaults (m for fig 1, p for fig 2, tail λ for fig 3, path t for fig 4)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	sweepVals, err := parseSweep(*sweep)
+	return runFigure("experiment", *id, *n, *sigma, *seed, *skipUDR, *sweepVals, *csvPath)
+}
+
+// runFigure regenerates paper figure id through the assessment engine
+// and prints it; cmd names the subcommand in errors. Figures 1-3 sweep
+// the data substrate, so each x-value runs as its own single-point plan;
+// figure 4 shares one substrate across its noise-path grid.
+func runFigure(cmd string, id, n int, sigma float64, seed int64, skipUDR bool, sweepVals, csvPath string) error {
+	if err := validSigma(cmd, sigma); err != nil {
+		return err
+	}
+	xs, err := parseSweep(sweepVals)
 	if err != nil {
-		return fmt.Errorf("experiment: %w", err)
+		return fmt.Errorf("%s: %w", cmd, err)
 	}
-	cfg := experiment.Config{N: *n, Sigma2: *sigma * *sigma, Seed: *seed, SkipUDR: *skipUDR, Workers: *workers}
+	cfg := experiment.Config{N: n, Sigma2: sigma * sigma, Seed: seed, SkipUDR: skipUDR}
 
-	writeCSV := func(fig *experiment.Figure) error {
-		if *csvPath == "" {
-			return nil
-		}
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return fig.WriteCSV(f)
-	}
-
-	switch *id {
+	var fig *experiment.Figure
+	switch id {
 	case 1:
-		fig, err := experiment.Experiment1(cfg, toInts(sweepVals))
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig)
-		return writeCSV(fig)
+		fig, err = experiment.Experiment1(cfg, toInts(xs))
 	case 2:
-		fig, err := experiment.Experiment2(cfg, toInts(sweepVals))
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig)
-		return writeCSV(fig)
+		fig, err = experiment.Experiment2(cfg, toInts(xs))
 	case 3:
-		fig, err := experiment.Experiment3(cfg, sweepVals)
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig)
-		return writeCSV(fig)
+		fig, err = experiment.Experiment3(cfg, xs)
 	case 4:
-		fig, err := experiment.Experiment4(cfg, sweepVals)
+		fig4, err := experiment.Experiment4(cfg, xs)
 		if err != nil {
 			return err
 		}
-		fmt.Print(fig)
-		if *csvPath != "" {
-			return fmt.Errorf("experiment: -csv is not supported for figure 4 (two x columns); copy the text output")
+		fmt.Print(fig4)
+		if csvPath != "" {
+			return fmt.Errorf("%s: -csv is not supported for figure 4 (two x columns); copy the text output", cmd)
 		}
 		return nil
 	default:
-		return fmt.Errorf("experiment: -id must be 1-4, got %d", *id)
+		return fmt.Errorf("%s: figure must be 1-4, got %d", cmd, id)
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Print(fig)
+	if csvPath == "" {
+		return nil
+	}
+	return withOutput(csvPath, fig.WriteCSV)
 }
 
 // runSmooth applies the sample-dependency (time-series) attack to every

@@ -415,12 +415,18 @@ func TestGoldenAttack(t *testing.T) {
 	checkGolden(t, "attack", stdout)
 }
 
+// TestGoldenExperiment pins both spellings of a figure regeneration,
+// 'experiment -id N' and 'sweep -figure N', to one golden: they are one
+// pipeline and print the same bytes.
 func TestGoldenExperiment(t *testing.T) {
-	stdout, stderr, code := runCLI(t, "experiment", "-id", "1", "-n", "80", "-seed", "3", "-skip-udr", "-sweep", "6,10")
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
+	flags := []string{"1", "-n", "80", "-seed", "3", "-skip-udr", "-sweep", "6,10"}
+	for _, cmd := range [][]string{{"experiment", "-id"}, {"sweep", "-figure"}} {
+		stdout, stderr, code := runCLI(t, append(cmd, flags...)...)
+		if code != 0 {
+			t.Fatalf("%v: exit code = %d, stderr: %s", cmd, code, stderr)
+		}
+		checkGolden(t, "experiment", stdout)
 	}
-	checkGolden(t, "experiment", stdout)
 }
 
 func TestGoldenUtility(t *testing.T) {

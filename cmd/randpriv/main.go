@@ -8,10 +8,14 @@
 //	randpriv gen        -n 1000 -m 20 -p 3 -out data.csv
 //	randpriv perturb    -in data.csv -sigma 5 -out disguised.csv [-correlated] [-stream -chunk 4096]
 //	randpriv attack     -original data.csv -disguised disguised.csv -sigma 5 [-stream -chunk 4096]
-//	randpriv experiment -id 1 [-n 1000] [-workers 8] [-skip-udr] [-csv out.csv]
+//	randpriv experiment -id 1 [-n 1000] [-skip-udr] [-sweep 5,20,40] [-csv out.csv]
 //	randpriv utility    [-n 2000] [-m 20]
 //	randpriv sweep      -data data.csv -spec spec.json [-out result.json]
 //	randpriv sweep      -figure 1 [-n 1000] [-skip-udr] [-csv out.csv]
+//
+// 'sweep -figure N' and 'experiment -id N' are two spellings of one
+// command: both run the figure through the assessment engine and print
+// the same bytes.
 package main
 
 import (
@@ -75,7 +79,7 @@ Commands:
   experiment  regenerate one of the paper's figures (1-4)
   utility     run the mining-utility comparison of the two schemes
   sweep       compile a parameter-grid spec into a shared-scan plan and run it
-              (or regenerate a paper figure through the sweep engine)
+              (or, with -figure N, the same figure as 'experiment -id N')
   smooth      time-series attack: denoise a disguised CSV column-by-column
 
 Run 'randpriv <command> -h' for per-command flags.

@@ -10,7 +10,6 @@ import (
 
 	"randpriv/internal/core"
 	"randpriv/internal/dataset"
-	"randpriv/internal/experiment"
 	"randpriv/internal/mat"
 	"randpriv/internal/sweep"
 )
@@ -20,7 +19,7 @@ import (
 // moment sketches built once per group) and evaluated in one engine run,
 // the same machinery randprivd uses for multipart POST /v1/jobs
 // submissions. With -figure it instead regenerates one of the paper's
-// figures through that engine.
+// figures, exactly as 'randpriv experiment -id N' does.
 func runSweepCmd(args []string) error {
 	fs := newFlagSet("sweep")
 	data := fs.String("data", "", "input CSV path (spec mode; required)")
@@ -39,10 +38,10 @@ func runSweepCmd(args []string) error {
 		return err
 	}
 
-	env := sweep.Env{Reg: core.Builtins(), WS: mat.NewWorkspace()}
 	if *figure != 0 {
-		return runFigureSweep(env, *figure, *n, *sigma, *seed, *skipUDR, *sweepFlag, *csvPath)
+		return runFigure("sweep", *figure, *n, *sigma, *seed, *skipUDR, *sweepFlag, *csvPath)
 	}
+	env := sweep.Env{Reg: core.Builtins(), WS: mat.NewWorkspace()}
 
 	if *data == "" || *specPath == "" {
 		return fmt.Errorf("sweep: -data and -spec are required (or use -figure 1-4)")
@@ -95,56 +94,6 @@ func runSweepCmd(args []string) error {
 		_, err := w.Write(body)
 		return err
 	})
-}
-
-// runFigureSweep regenerates one paper figure via the sweep engine.
-// Figures 1-3 sweep the data substrate, so each x-value runs as its own
-// single-point plan; figure 4 shares one substrate across its noise-path
-// grid. Numbers differ from 'randpriv experiment' only through the
-// perturbation RNG stream; the shapes are the same.
-func runFigureSweep(env sweep.Env, id, n int, sigma float64, seed int64, skipUDR bool, sweepVals, csvPath string) error {
-	if err := validSigma("sweep", sigma); err != nil {
-		return err
-	}
-	xs, err := parseSweep(sweepVals)
-	if err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	cfg := experiment.Config{N: n, Sigma2: sigma * sigma, Seed: seed, SkipUDR: skipUDR}
-
-	var sw *experiment.SpectrumSweep
-	switch id {
-	case 1:
-		sw, err = experiment.Figure1Substrates(cfg, toInts(xs))
-	case 2:
-		sw, err = experiment.Figure2Substrates(cfg, 100, toInts(xs))
-	case 3:
-		sw, err = experiment.Figure3Substrates(cfg, 100, 20, 400, xs)
-	case 4:
-		fig, err := env.Figure4(cfg, 100, 50, xs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(fig)
-		if csvPath != "" {
-			return fmt.Errorf("sweep: -csv is not supported for figure 4 (two x columns); copy the text output")
-		}
-		return nil
-	default:
-		return fmt.Errorf("sweep: -figure must be 1-4, got %d", id)
-	}
-	if err != nil {
-		return err
-	}
-	fig, err := env.SpectrumFigure(cfg, sw)
-	if err != nil {
-		return err
-	}
-	fmt.Print(fig)
-	if csvPath == "" {
-		return nil
-	}
-	return withOutput(csvPath, fig.WriteCSV)
 }
 
 // readSpec loads the sweep spec from path, or stdin when path is "-".

@@ -72,12 +72,17 @@ func main() {
 	}
 }
 
-// newServer is server.New, with a spool dir it cannot create reported
-// against the -spool flag that named it.
+// newServer is server.New, with a directory it cannot create or open
+// reported against the flag that named it.
 func newServer(cfg server.Config) (*server.Server, error) {
 	srv, err := server.New(cfg)
-	if errors.Is(err, server.ErrSpoolDir) {
+	switch {
+	case errors.Is(err, server.ErrSpoolDir):
 		return nil, fmt.Errorf("-spool: %w", err)
+	case errors.Is(err, server.ErrJobsDir):
+		return nil, fmt.Errorf("-jobs-dir: %w", err)
+	case errors.Is(err, server.ErrClusterDir):
+		return nil, fmt.Errorf("-cluster-dir: %w", err)
 	}
 	return srv, err
 }

@@ -12,8 +12,9 @@ import (
 // features and must stay accepted (they only fail later for unrelated
 // reasons like a missing cluster dir, never for the sign).
 func TestFlagValidation(t *testing.T) {
-	// A -spool under a regular file cannot be created. The unusable
-	// -addr fails a run that got past the spool instead of serving.
+	// A -spool, -jobs-dir or -cluster-dir under a regular file cannot be
+	// created. The unusable -addr fails a run that got past the
+	// directories instead of serving.
 	file := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -33,6 +34,9 @@ func TestFlagValidation(t *testing.T) {
 		{"worker with negative claim loops", []string{"-role", "worker", "-cluster-dir", t.TempDir(), "-cluster-workers", "-1"}, "-cluster-workers must be >= 0 for -role worker"},
 		{"spool under a regular file", []string{"-addr", "no-port", "-jobs-dir", t.TempDir(), "-spool", badSpool}, "-spool"},
 		{"worker spool under a regular file", []string{"-role", "worker", "-cluster-dir", t.TempDir(), "-addr", "no-port", "-spool", badSpool}, "-spool"},
+		{"jobs dir under a regular file", []string{"-addr", "no-port", "-jobs-dir", filepath.Join(file, "jobs")}, "-jobs-dir: "},
+		{"cluster dir under a regular file", []string{"-addr", "no-port", "-jobs-dir", t.TempDir(), "-cluster-dir", filepath.Join(file, "c")}, "-cluster-dir: "},
+		{"worker cluster dir under a regular file", []string{"-role", "worker", "-addr", "no-port", "-cluster-dir", filepath.Join(file, "c")}, "-cluster-dir: "},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,7 +56,7 @@ func runWorker(addr, dir, node string, nWorkers, chunk int, spool string, timeou
 	}
 	st, err := cluster.Open(dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("-cluster-dir: %w", err)
 	}
 	// The compute side is a full server.Server — without ClusterDir, so
 	// this node never starts a coordinator of its own — with its job

@@ -6,7 +6,7 @@
 //
 // The implementation lives under internal/; see README.md for the layout,
 // docs/ARCHITECTURE.md for the data flow, and cmd/randpriv for the CLI.
-// The experiment engine runs sweep points on a deterministic worker pool
-// (experiment.Runner): the same seed produces bit-identical figures at
-// any worker count, so -workers only changes wall-clock time.
+// The figures run through the same assessment engine randprivd serves,
+// with their sweep points in parallel at GOMAXPROCS (experiment.Runner):
+// the same seed produces bit-identical figures at any GOMAXPROCS.
 package randpriv

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"randpriv/internal/mat"
 	"randpriv/internal/randomize"
 	"randpriv/internal/recon"
 	"randpriv/internal/stat"
@@ -97,55 +96,4 @@ func (o *OracleAblation) String() string {
 		s += fmt.Sprintf("%-10s %12.4f %12.4f %9.1f%%\n", name, or, es, 100*gap)
 	}
 	return s
-}
-
-// NoiseSweep measures every attack's RMSE as the noise level σ grows on a
-// fixed data set — an extension sweep not in the paper, exposing where
-// the correlation advantage saturates.
-func NoiseSweep(cfg Config, m, p int, sigmas []float64) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	if len(sigmas) == 0 {
-		sigmas = []float64{1, 2, 4, 6, 8, 12, 16}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	spec, err := synth.BudgetedSpectrum(m, p, cfg.Tail, cfg.AvgVariance)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := spec.Values()
-	if err != nil {
-		return nil, err
-	}
-	ds, err := synth.Generate(cfg.N, vals, nil, rng)
-	if err != nil {
-		return nil, err
-	}
-
-	fig := &Figure{
-		ID:     "noise-sweep",
-		Title:  fmt.Sprintf("RMSE vs noise level (m=%d, p=%d)", m, p),
-		XLabel: "σ",
-		Series: seriesNames(attackSuite(cfg, nil)),
-	}
-	for _, sigma := range sigmas {
-		if sigma <= 0 {
-			return nil, fmt.Errorf("experiment: sigma %v must be > 0", sigma)
-		}
-	}
-	points := make([]Point, len(sigmas))
-	err = Runner{Workers: cfg.Workers}.RunWS(len(sigmas), cfg.Seed, func(i int, rng *rand.Rand, ws *mat.Workspace) error {
-		ptCfg := cfg
-		ptCfg.Sigma2 = sigmas[i] * sigmas[i]
-		rmse, err := runPoint(ds.X, ptCfg, attackSuite(ptCfg, ws), rng)
-		if err != nil {
-			return err
-		}
-		points[i] = Point{X: sigmas[i], RMSE: rmse}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	fig.Points = points
-	return fig, nil
 }

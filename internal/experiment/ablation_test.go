@@ -34,35 +34,3 @@ func TestAblationOracle(t *testing.T) {
 		t.Errorf("String incomplete:\n%s", s)
 	}
 }
-
-func TestNoiseSweepShapes(t *testing.T) {
-	cfg := smallCfg()
-	cfg.SkipUDR = true
-	fig, err := NoiseSweep(cfg, 12, 3, []float64{2, 6, 12})
-	if err != nil {
-		t.Fatalf("NoiseSweep: %v", err)
-	}
-	if len(fig.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(fig.Points))
-	}
-	// Every attack's error must grow with the noise level.
-	for _, name := range fig.Series {
-		vals := fig.SeriesValues(name)
-		if !Monotone(vals, +1, 0.05) {
-			t.Errorf("%s error not increasing with σ: %v", name, vals)
-		}
-	}
-	// At every noise level BE-DR must stay below σ (the NDR floor).
-	be := fig.SeriesValues("BE-DR")
-	for i, sigma := range []float64{2, 6, 12} {
-		if be[i] >= sigma {
-			t.Errorf("σ=%v: BE-DR %v did not beat the NDR floor", sigma, be[i])
-		}
-	}
-}
-
-func TestNoiseSweepValidation(t *testing.T) {
-	if _, err := NoiseSweep(smallCfg(), 8, 2, []float64{0}); err == nil {
-		t.Fatal("σ=0 must error")
-	}
-}

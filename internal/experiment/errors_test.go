@@ -31,28 +31,12 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	if c.N != 1000 || c.Sigma2 != 25 || c.AvgVariance != 300 || c.Tail != 4 || c.Seed != 2005 {
 		t.Errorf("defaults = %+v", c)
 	}
-	if c.UDROpts.Bins != 60 || c.UDROpts.MaxIter != 40 {
-		t.Errorf("UDR defaults = %+v", c.UDROpts)
-	}
 }
 
 func TestAblationOracleBadDims(t *testing.T) {
 	// p > m breaks the spectrum budget.
 	if _, err := AblationOracle(smallCfg(), 4, 9); err == nil {
 		t.Error("p > m must error")
-	}
-}
-
-func TestNoiseSweepDefaultSigmas(t *testing.T) {
-	cfg := smallCfg()
-	cfg.N = 150
-	cfg.SkipUDR = true
-	fig, err := NoiseSweep(cfg, 8, 2, nil)
-	if err != nil {
-		t.Fatalf("NoiseSweep: %v", err)
-	}
-	if len(fig.Points) != 7 {
-		t.Errorf("default sweep has %d points, want 7", len(fig.Points))
 	}
 }
 

@@ -5,13 +5,16 @@
 // or CSV; absolute values depend on the synthetic substrate, but the
 // qualitative shapes (orderings, trends, crossovers) match the paper.
 //
-// Sweep points are independent trials executed on a Runner worker pool
-// (Config.Workers); point i always draws from the RNG stream seeded by
-// TrialSeed(Config.Seed, i), so every figure is bit-identical no matter
-// how many workers regenerate it.
+// Every figure point runs through the assessment engine (package sweep),
+// the code randprivd serves, with the registry's attack battery. Points
+// are independent trials on the Runner's claim loop; point i always
+// draws from the RNG stream seeded by sweep.TrialSeed(Config.Seed, i),
+// so every figure is bit-identical at any GOMAXPROCS.
 package experiment
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -19,11 +22,10 @@ import (
 	"sort"
 	"strings"
 
-	"randpriv/internal/asr"
+	"randpriv/internal/core"
 	"randpriv/internal/mat"
-	"randpriv/internal/randomize"
-	"randpriv/internal/recon"
-	"randpriv/internal/stat"
+	"randpriv/internal/stream"
+	"randpriv/internal/sweep"
 	"randpriv/internal/synth"
 )
 
@@ -42,20 +44,9 @@ type Config struct {
 	Tail float64
 	// Seed makes the sweep deterministic.
 	Seed int64
-	// UDROpts tunes the univariate reconstruction grid.
-	UDROpts asr.Options
 	// SkipUDR drops the UDR series (it dominates runtime at m=100).
 	SkipUDR bool
-	// Workers bounds the sweep-point worker pool; ≤ 0 means
-	// runtime.GOMAXPROCS(0). Results are identical for every value —
-	// each sweep point draws from its own TrialSeed-derived stream.
-	Workers int
 }
-
-// WithDefaults returns the config with paper-scale defaults filled in —
-// the exported form of what every ExperimentN applies internally, for
-// callers (the sweep figure bridge) that build substrates themselves.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
 	if c.N <= 0 {
@@ -75,12 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2005
-	}
-	if c.UDROpts.Bins == 0 {
-		c.UDROpts.Bins = 60
-	}
-	if c.UDROpts.MaxIter == 0 {
-		c.UDROpts.MaxIter = 40
 	}
 	return c
 }
@@ -166,11 +151,10 @@ func (f *Figure) SeriesValues(name string) []float64 {
 	return out
 }
 
-// SpectrumSweep is the substrate grid of one spectrum figure (1–3): the
+// spectrumSweep is the substrate grid of one spectrum figure (1–3): the
 // x-axis values and the eigenvalue spectrum each sweep point generates
-// its data set from. It is the figure's declarative core, shared between
-// the classic ExperimentN runners and the sweep-plan regeneration path.
-type SpectrumSweep struct {
+// its data set from.
+type spectrumSweep struct {
 	ID     string
 	Title  string
 	XLabel string
@@ -179,15 +163,14 @@ type SpectrumSweep struct {
 	Spectra [][]float64
 }
 
-// Figure1Substrates builds Figure 1's substrate grid: p = 5 principal
+// figure1Substrates builds Figure 1's substrate grid: p = 5 principal
 // components fixed, the number of attributes m swept.
-func Figure1Substrates(cfg Config, ms []int) (*SpectrumSweep, error) {
-	cfg = cfg.withDefaults()
+func figure1Substrates(cfg Config, ms []int) (*spectrumSweep, error) {
 	if len(ms) == 0 {
 		ms = []int{5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	}
 	const p = 5
-	sw := &SpectrumSweep{
+	sw := &spectrumSweep{
 		ID:     "figure1",
 		Title:  "RMSE vs number of attributes (p=5 fixed)",
 		XLabel: "m",
@@ -210,14 +193,13 @@ func Figure1Substrates(cfg Config, ms []int) (*SpectrumSweep, error) {
 	return sw, nil
 }
 
-// Figure2Substrates builds Figure 2's substrate grid: m attributes
+// figure2Substrates builds Figure 2's substrate grid: m attributes
 // fixed, the number of principal components p swept.
-func Figure2Substrates(cfg Config, m int, ps []int) (*SpectrumSweep, error) {
-	cfg = cfg.withDefaults()
+func figure2Substrates(cfg Config, m int, ps []int) (*spectrumSweep, error) {
 	if len(ps) == 0 {
 		ps = []int{2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	}
-	sw := &SpectrumSweep{
+	sw := &spectrumSweep{
 		ID:     "figure2",
 		Title:  fmt.Sprintf("RMSE vs number of principal components (m=%d fixed)", m),
 		XLabel: "p",
@@ -240,13 +222,13 @@ func Figure2Substrates(cfg Config, m int, ps []int) (*SpectrumSweep, error) {
 	return sw, nil
 }
 
-// Figure3Substrates builds Figure 3's substrate grid: dimensions fixed,
+// figure3Substrates builds Figure 3's substrate grid: dimensions fixed,
 // the non-principal eigenvalue swept upward.
-func Figure3Substrates(cfg Config, m, p int, principal float64, tails []float64) (*SpectrumSweep, error) {
+func figure3Substrates(m, p int, principal float64, tails []float64) (*spectrumSweep, error) {
 	if len(tails) == 0 {
 		tails = []float64{1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
 	}
-	sw := &SpectrumSweep{
+	sw := &spectrumSweep{
 		ID:     "figure3",
 		Title:  fmt.Sprintf("RMSE vs non-principal eigenvalue (m=%d, p=%d, λ=%g)", m, p, principal),
 		XLabel: "tail λ",
@@ -263,105 +245,101 @@ func Figure3Substrates(cfg Config, m, p int, principal float64, tails []float64)
 	return sw, nil
 }
 
-// attackSuite builds the per-point reconstructors for the i.i.d.-noise
-// experiments (1–3). ws is the trial's scratch arena (nil when only the
-// attack names are needed); the spectral attacks draw every temporary
-// from it, so a worker sweeping many points settles into a fixed buffer
-// set.
-func attackSuite(cfg Config, ws *mat.Workspace) []recon.Reconstructor {
-	sigma := math.Sqrt(cfg.Sigma2)
-	suite := []recon.Reconstructor{
-		&recon.SF{Sigma2: cfg.Sigma2, WS: ws},
-		&recon.PCADR{Sigma2: cfg.Sigma2, Select: recon.SelectGap, WS: ws},
-		&recon.BEDR{Sigma2: cfg.Sigma2, WS: ws},
+// figureChunk is the chunk partition figure plans use; the substrate is
+// resident either way, so the value only shapes the (unused) pass
+// bookkeeping, not the numbers.
+const figureChunk = 4096
+
+// figureParams is the engine point every figure evaluates: the paper's
+// σ and the config's seed under scheme, with attacks as the explicit
+// battery (nil takes the registry's default for the scheme's noise).
+func figureParams(cfg Config, scheme string, attacks []string) sweep.Params {
+	return sweep.Params{
+		Sigma: math.Sqrt(cfg.Sigma2), Seed: cfg.Seed, Scheme: scheme, Chunk: figureChunk, Attacks: attacks,
+		Epsilon: sweep.DefaultEpsilon, Delta: sweep.DefaultDelta, Sensitivity: sweep.DefaultSensitivity,
 	}
-	if !cfg.SkipUDR {
-		udr := recon.NewUDR(sigma)
-		udr.Opts = cfg.UDROpts
-		suite = append([]recon.Reconstructor{udr}, suite...)
-	}
-	return suite
 }
 
-func seriesNames(attacks []recon.Reconstructor) []string {
-	names := make([]string, len(attacks))
-	for i, a := range attacks {
-		names[i] = a.Name()
+// pointRMSE parses one grid-point report back into the figure's
+// per-attack RMSE map, keyed by display name.
+func pointRMSE(report json.RawMessage) (map[string]float64, error) {
+	var rep sweep.ReportJSON
+	if err := json.Unmarshal(report, &rep); err != nil {
+		return nil, fmt.Errorf("experiment: decode point report: %w", err)
 	}
-	sort.Strings(names)
-	return names
+	out := make(map[string]float64, len(rep.Results))
+	for _, r := range rep.Results {
+		if r.Error != "" {
+			return nil, fmt.Errorf("experiment: attack %s: %s", r.Attack, r.Error)
+		}
+		out[r.Attack] = r.RMSE
+	}
+	return out, nil
 }
 
-// runSpectrumSweep is the shared engine of Experiments 1–3: one trial
-// per sweep point, each generating a fresh data set from its precomputed
-// eigenvalue spectrum, perturbing it, and scoring every attack. Trials
-// run on the Config.Workers pool; point i always uses the RNG stream
-// TrialSeed(cfg.Seed, i), so the figure is identical at any worker count.
-func runSpectrumSweep(cfg Config, xs []float64, spectra [][]float64) ([]Point, error) {
-	points := make([]Point, len(xs))
-	err := Runner{Workers: cfg.Workers}.RunWS(len(xs), cfg.Seed, func(i int, rng *rand.Rand, ws *mat.Workspace) error {
-		ds, err := synth.Generate(cfg.N, spectra[i], nil, rng)
+// spectrumFigure runs a substrate grid through the assessment engine:
+// point i generates its data set from its trial stream, compiles a
+// single-point plan of the i.i.d. battery (the registry's memory-mode
+// default, minus UDR when it is skipped) and executes it, so each figure
+// cell is the computation a server grid point runs. Every point perturbs
+// with sweep.PointRNG(cfg.Seed), as a standalone request at that seed
+// does.
+func spectrumFigure(cfg Config, sw *spectrumSweep) (*Figure, error) {
+	battery := []string{"asr", "sf", "pcadr", "bedr"}
+	if cfg.SkipUDR {
+		battery = battery[1:]
+	}
+	reg := core.Builtins()
+	points := make([]Point, len(sw.Xs))
+	err := Runner{}.RunWS(len(sw.Xs), cfg.Seed, func(i int, rng *rand.Rand, ws *mat.Workspace) error {
+		ds, err := synth.Generate(cfg.N, sw.Spectra[i], nil, rng)
 		if err != nil {
 			return err
 		}
-		rmse, err := runPoint(ds.X, cfg, attackSuite(cfg, ws), rng)
+		plan, err := sweep.Compile(reg, []sweep.Params{figureParams(cfg, "additive", battery)})
 		if err != nil {
 			return err
 		}
-		points[i] = Point{X: xs[i], RMSE: rmse}
+		names := make([]string, ds.X.Cols())
+		for j := range names {
+			names[j] = fmt.Sprintf("x%d", j+1)
+		}
+		env := sweep.Env{Reg: reg, WS: ws}
+		res, err := sweep.Execute(context.TODO(), sweep.ExecConfig{Env: env}, plan, stream.NewMatrixSource(ds.X, figureChunk), names)
+		if err != nil {
+			return err
+		}
+		if msg := res.Points[0].Error; msg != "" {
+			return fmt.Errorf("experiment: figure point %s=%g: %s", sw.XLabel, sw.Xs[i], msg)
+		}
+		rmse, err := pointRMSE(res.Points[0].Report)
+		if err != nil {
+			return err
+		}
+		points[i] = Point{X: sw.Xs[i], RMSE: rmse}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return points, nil
-}
-
-// runPoint perturbs x with i.i.d. noise and evaluates every attack.
-func runPoint(x *mat.Dense, cfg Config, attacks []recon.Reconstructor, rng *rand.Rand) (map[string]float64, error) {
-	scheme := randomize.NewAdditiveGaussian(math.Sqrt(cfg.Sigma2))
-	pert, err := scheme.Perturb(x, rng)
-	if err != nil {
-		return nil, err
+	fig := &Figure{ID: sw.ID, Title: sw.Title, XLabel: sw.XLabel, Points: points}
+	for name := range points[0].RMSE {
+		fig.Series = append(fig.Series, name)
 	}
-	out := make(map[string]float64, len(attacks))
-	for _, a := range attacks {
-		xhat, err := a.Reconstruct(pert.Y)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: attack %s: %w", a.Name(), err)
-		}
-		out[a.Name()] = stat.RMSE(xhat, x)
-	}
-	return out, nil
+	sort.Strings(fig.Series)
+	return fig, nil
 }
 
 // Experiment1 reproduces Figure 1: fix p = 5 principal components and
 // sweep the number of attributes m; correlation rises with m, so the
 // correlation-aware attacks improve while UDR stays flat.
 func Experiment1(cfg Config, ms []int) (*Figure, error) {
-	sw, err := Figure1Substrates(cfg, ms)
+	cfg = cfg.withDefaults()
+	sw, err := figure1Substrates(cfg, ms)
 	if err != nil {
 		return nil, err
 	}
 	return spectrumFigure(cfg, sw)
-}
-
-// spectrumFigure runs a substrate grid through the classic in-memory
-// sweep and assembles the figure.
-func spectrumFigure(cfg Config, sw *SpectrumSweep) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	fig := &Figure{
-		ID:     sw.ID,
-		Title:  sw.Title,
-		XLabel: sw.XLabel,
-		Series: seriesNames(attackSuite(cfg, nil)),
-	}
-	points, err := runSpectrumSweep(cfg, sw.Xs, sw.Spectra)
-	if err != nil {
-		return nil, err
-	}
-	fig.Points = points
-	return fig, nil
 }
 
 // Experiment2 reproduces Figure 2: fix m = 100 attributes and sweep the
@@ -374,7 +352,8 @@ func Experiment2(cfg Config, ps []int) (*Figure, error) {
 // experiment2At is Experiment2 with a configurable attribute count so
 // tests can run at small m.
 func experiment2At(cfg Config, m int, ps []int) (*Figure, error) {
-	sw, err := Figure2Substrates(cfg, m, ps)
+	cfg = cfg.withDefaults()
+	sw, err := figure2Substrates(cfg, m, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +371,8 @@ func Experiment3(cfg Config, tails []float64) (*Figure, error) {
 
 // experiment3At is Experiment3 with configurable dimensions for tests.
 func experiment3At(cfg Config, m, p int, principal float64, tails []float64) (*Figure, error) {
-	sw, err := Figure3Substrates(cfg, m, p, principal, tails)
+	cfg = cfg.withDefaults()
+	sw, err := figure3Substrates(m, p, principal, tails)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,16 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"randpriv/internal/core"
 	"randpriv/internal/mat"
 	"randpriv/internal/randomize"
-	"randpriv/internal/recon"
 	"randpriv/internal/stat"
+	"randpriv/internal/sweep"
 	"randpriv/internal/synth"
 )
 
@@ -45,7 +47,11 @@ func Experiment4(cfg Config, ts []float64) (*Figure4, error) {
 	return experiment4At(cfg, 100, 50, ts)
 }
 
-// experiment4At is Experiment4 with configurable size for tests.
+// experiment4At is Experiment4 with configurable size for tests. The
+// points share one generated substrate. Each point's noise covariance
+// is built here and handed to the engine as a prebuilt defense, because
+// an arbitrary Σr sits outside the declarative spec; the battery,
+// scoring and report still run through the engine's point evaluator.
 func experiment4At(cfg Config, m, p int, ts []float64) (*Figure4, error) {
 	cfg = cfg.withDefaults()
 	if len(ts) == 0 {
@@ -75,8 +81,13 @@ func experiment4At(cfg Config, m, p int, ts []float64) (*Figure4, error) {
 		IndependentIndex: -1,
 	}
 
+	// The registry's default Cov-noise battery: SF and PCA-DR attack at
+	// the average i.i.d. energy, BE-DR with full Σr, matching the paper's
+	// adversary models.
+	params := figureParams(cfg, "correlated", nil)
+	reg := core.Builtins()
 	points := make([]Point4, len(ts))
-	err = Runner{Workers: cfg.Workers}.RunWS(len(ts), cfg.Seed, func(i int, rng *rand.Rand, ws *mat.Workspace) error {
+	err = Runner{}.RunWS(len(ts), cfg.Seed, func(i int, rng *rand.Rand, ws *mat.Workspace) error {
 		t := ts[i]
 		noiseVals, err := randomize.NoiseSpectrumPath(ds.Eigvals, t, totalNoise)
 		if err != nil {
@@ -90,6 +101,10 @@ func experiment4At(cfg Config, m, p int, ts []float64) (*Figure4, error) {
 		if err != nil {
 			return err
 		}
+		bd := core.BuiltDefense{
+			Scheme: scheme,
+			Noise:  core.NoiseModel{Sigma2: scheme.AverageVariance(), Cov: scheme.NoiseCovariance(), Mean: scheme.NoiseMean()},
+		}
 		pert, err := scheme.Perturb(ds.X, rng)
 		if err != nil {
 			return err
@@ -97,18 +112,17 @@ func experiment4At(cfg Config, m, p int, ts []float64) (*Figure4, error) {
 
 		dis := stat.CorrelationDissimilarity(ds.X, pert.R)
 
-		attacks := []recon.Reconstructor{
-			&recon.BEDR{NoiseCov: noiseCov, WS: ws},
-			&recon.PCADR{Sigma2: cfg.Sigma2, Select: recon.SelectGap, WS: ws},
-			&recon.SF{Sigma2: cfg.Sigma2, WS: ws},
+		env := sweep.Env{Reg: reg, WS: ws}
+		rep, _, err := env.EvaluateMemoryPoint(context.TODO(), params, ds.X, pert.Y, bd)
+		if err != nil {
+			return err
 		}
-		rmse := make(map[string]float64, len(attacks))
-		for _, a := range attacks {
-			xhat, err := a.Reconstruct(pert.Y)
-			if err != nil {
-				return fmt.Errorf("experiment: attack %s at t=%v: %w", a.Name(), t, err)
+		rmse := make(map[string]float64, len(rep.Results))
+		for _, r := range rep.Results {
+			if r.Err != nil {
+				return fmt.Errorf("experiment: attack %s at t=%v: %w", r.Attack, t, r.Err)
 			}
-			rmse[a.Name()] = stat.RMSE(xhat, ds.X)
+			rmse[r.Attack] = r.RMSE
 		}
 		points[i] = Point4{T: t, Dissimilarity: dis, RMSE: rmse}
 		return nil

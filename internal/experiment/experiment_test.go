@@ -2,8 +2,18 @@ package experiment
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"randpriv/internal/core"
+	"randpriv/internal/mat"
+	"randpriv/internal/stream"
+	"randpriv/internal/sweep"
+	"randpriv/internal/synth"
 )
 
 // smallCfg keeps sweeps fast: fewer records and a coarse UDR grid.
@@ -218,6 +228,140 @@ func TestSkipUDR(t *testing.T) {
 	}
 	if len(fig.SeriesValues("BE-DR")) != 2 {
 		t.Error("other series must remain")
+	}
+}
+
+// TestSpectrumFigureThroughEngine pins what a spectrum figure reads
+// back from the engine's reports: without UDR the series are exactly the
+// three spectral attacks, sorted by display name, every cell is a
+// positive RMSE, and a rerun reproduces every cell.
+func TestSpectrumFigureThroughEngine(t *testing.T) {
+	cfg := Config{N: 150, Sigma2: 25, Seed: 9, SkipUDR: true}
+	fig, err := Experiment1(cfg, []int{5, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig.ID != "figure1" || len(fig.Points) != 2 {
+		t.Fatalf("figure = %q with %d points, want figure1 with 2", fig.ID, len(fig.Points))
+	}
+	if want := []string{"BE-DR", "PCA-DR", "SF"}; !reflect.DeepEqual(fig.Series, want) {
+		t.Fatalf("series = %v, want %v", fig.Series, want)
+	}
+	for _, pt := range fig.Points {
+		for _, s := range fig.Series {
+			if !(pt.RMSE[s] > 0) {
+				t.Errorf("x=%g: %s RMSE = %v, want positive", pt.X, s, pt.RMSE[s])
+			}
+		}
+	}
+	again, err := Experiment1(cfg, []int{5, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Points, fig.Points) {
+		t.Errorf("rerun moved the figure:\n%v\nvs\n%v", again.Points, fig.Points)
+	}
+}
+
+// TestFigure4ThroughEngine: along the spectrum path the dissimilarity
+// grows strictly with t, and the Σr-aware BE-DR reconstructs better
+// (lower RMSE, weaker privacy) as the noise shape departs from the
+// data's.
+func TestFigure4ThroughEngine(t *testing.T) {
+	cfg := Config{N: 200, Sigma2: 25, Seed: 5}
+	fig, err := experiment4At(cfg, 12, 6, []float64{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Points) != 3 {
+		t.Fatalf("points = %d, want 3", len(fig.Points))
+	}
+	if fig.IndependentIndex != 1 {
+		t.Errorf("independent index = %d, want 1 (t=1)", fig.IndependentIndex)
+	}
+	if !(fig.Points[0].Dissimilarity < fig.Points[1].Dissimilarity &&
+		fig.Points[1].Dissimilarity < fig.Points[2].Dissimilarity) {
+		t.Errorf("dissimilarity not increasing in t: %v, %v, %v",
+			fig.Points[0].Dissimilarity, fig.Points[1].Dissimilarity, fig.Points[2].Dissimilarity)
+	}
+	if !(fig.Points[0].RMSE["BE-DR"] > fig.Points[2].RMSE["BE-DR"]) {
+		t.Errorf("BE-DR RMSE did not drop from t=0 (%v) to t=2 (%v)",
+			fig.Points[0].RMSE["BE-DR"], fig.Points[2].RMSE["BE-DR"])
+	}
+	for _, pt := range fig.Points {
+		for _, s := range fig.Series {
+			if !(pt.RMSE[s] > 0) {
+				t.Errorf("t=%g: %s RMSE = %v, want positive", pt.T, s, pt.RMSE[s])
+			}
+		}
+	}
+}
+
+// TestSigmaSweepThroughEngine checks the paper's noise model on the
+// engine a sigmas axis runs: over one data set, every attack's error
+// rises with σ, and BE-DR stays below the NDR baseline at every σ.
+func TestSigmaSweepThroughEngine(t *testing.T) {
+	cfg := smallCfg()
+	spec, err := synth.BudgetedSpectrum(12, 3, cfg.Tail, cfg.AvgVariance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := spec.Values()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := synth.Generate(cfg.N, vals, nil, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := core.Builtins()
+	sp, err := sweep.ParseSpec([]byte(`{"defenses":[{"scheme":"additive","sigmas":[2,6,12]}],"attacks":["sf","pcadr","bedr"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := sp.Expand(reg, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sweep.Compile(reg, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	res, err := sweep.Execute(context.Background(), sweep.ExecConfig{Env: sweep.Env{Reg: reg, WS: mat.NewWorkspace()}},
+		plan, stream.NewMatrixSource(ds.X, 64), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 3 {
+		t.Fatalf("points = %d, want 3", len(res.Points))
+	}
+	series := map[string][]float64{}
+	for i, pt := range res.Points {
+		if want := []float64{2, 6, 12}[i]; pt.Params.Sigma != want {
+			t.Fatalf("point %d has σ=%v, want %v", i, pt.Params.Sigma, want)
+		}
+		if pt.Error != "" {
+			t.Fatalf("σ=%v: %s", pt.Params.Sigma, pt.Error)
+		}
+		var rep sweep.ReportJSON
+		if err := json.Unmarshal(pt.Report, &rep); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rep.Results {
+			series[r.Attack] = append(series[r.Attack], r.RMSE)
+			if r.Attack == "BE-DR" && r.RMSE >= rep.NDRBaseline {
+				t.Errorf("σ=%v: BE-DR %v did not beat the NDR baseline %v", pt.Params.Sigma, r.RMSE, rep.NDRBaseline)
+			}
+		}
+	}
+	if len(series) != 3 {
+		t.Fatalf("series = %v, want SF, PCA-DR and BE-DR", series)
+	}
+	for name, vals := range series {
+		if !Monotone(vals, +1, 0.05) {
+			t.Errorf("%s error not increasing with σ: %v", name, vals)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func PartialDisclosureSweep(cfg Config, m int, ks []int) (*PartialFigure, error)
 	// independent (deterministic) reconstruction, so the sweep runs on
 	// the worker pool like the figure sweeps.
 	points := make([]PartialPoint, len(ks))
-	err = Runner{Workers: cfg.Workers}.Run(len(ks), cfg.Seed, func(i int, _ *rand.Rand) error {
+	err = Runner{}.Run(len(ks), cfg.Seed, func(i int, _ *rand.Rand) error {
 		k := ks[i]
 		known := make([]int, k)
 		for j := range known {

@@ -6,52 +6,21 @@ import (
 	"sync"
 
 	"randpriv/internal/mat"
+	"randpriv/internal/sweep"
 )
 
-// Runner executes independent trials on a bounded worker pool. Each trial
-// receives its own rand.Rand seeded deterministically from (base seed,
-// trial index), so the results are bit-for-bit identical no matter how
-// many workers run them — the property the figure sweeps rely on to stay
-// reproducible while scaling across cores.
-//
-// The zero value runs with GOMAXPROCS workers.
-type Runner struct {
-	// Workers is the pool size; values ≤ 0 mean runtime.GOMAXPROCS(0).
-	Workers int
-}
-
-// effectiveWorkers clamps the pool size to [1, n].
-func (r Runner) effectiveWorkers(n int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// TrialSeed derives the RNG seed of one trial from the base seed. It is a
-// SplitMix64 finalizer over (base, trial), so neighbouring trials get
-// decorrelated streams — unlike base+trial, which would hand adjacent
-// trials strongly overlapping math/rand state.
-func TrialSeed(base int64, trial int) int64 {
-	z := uint64(base) + (uint64(trial)+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
-}
+// Runner executes independent trials on a claim loop of GOMAXPROCS
+// goroutines. Each trial receives its own rand.Rand seeded by
+// sweep.TrialSeed(base seed, trial index), so the results are bit-for-bit
+// identical at any GOMAXPROCS — the property the figure sweeps rely on to
+// stay reproducible while scaling across cores. Trials are claimed one at
+// a time, so a few costly trials (Figure 1's large-m points) spread over
+// the goroutines instead of queueing behind one.
+type Runner struct{}
 
 // Run executes fn(i, rng) for every trial i in [0, n), each with a fresh
-// rand.Rand seeded by TrialSeed(seed, i). Trials run concurrently on the
-// pool; fn must only write to per-trial state (e.g. its own slot of a
+// rand.Rand seeded by sweep.TrialSeed(seed, i). Trials run concurrently;
+// fn must only write to per-trial state (e.g. its own slot of a
 // pre-allocated result slice).
 //
 // If any trial fails, Run stops handing out further trials and returns
@@ -64,29 +33,13 @@ func (r Runner) Run(n int, seed int64, fn func(trial int, rng *rand.Rand) error)
 	})
 }
 
-// RunWS is Run with a scratch arena per worker: every trial additionally
-// receives a mat.Workspace, reset before the trial starts, that the
-// worker reuses across all the trials it claims. Steady-state sweeps
-// (every point allocating the same attack shapes) therefore stop paying
-// per-trial matrix allocations. Workspaces are per-worker and buffers
-// are zeroed on Get, so results remain bit-identical at any worker
-// count.
+// RunWS is Run with a scratch arena per goroutine: every trial
+// additionally receives a mat.Workspace, reset before the trial starts,
+// that the goroutine reuses across all the trials it claims. Steady-state
+// sweeps (every point allocating the same attack shapes) therefore stop
+// paying per-trial matrix allocations. Buffers are zeroed on Get, so
+// results remain bit-identical at any GOMAXPROCS.
 func (r Runner) RunWS(n int, seed int64, fn func(trial int, rng *rand.Rand, ws *mat.Workspace) error) error {
-	if n <= 0 {
-		return nil
-	}
-	w := r.effectiveWorkers(n)
-	if w == 1 {
-		ws := mat.NewWorkspace()
-		for i := 0; i < n; i++ {
-			ws.Reset()
-			if err := fn(i, rand.New(rand.NewSource(TrialSeed(seed, i))), ws); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -112,8 +65,8 @@ func (r Runner) RunWS(n int, seed int64, fn func(trial int, rng *rand.Rand, ws *
 	}
 
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
+	for k := min(runtime.GOMAXPROCS(0), n); k > 0; k-- {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ws := mat.NewWorkspace()
@@ -123,7 +76,7 @@ func (r Runner) RunWS(n int, seed int64, fn func(trial int, rng *rand.Rand, ws *
 					return
 				}
 				ws.Reset()
-				if err := fn(i, rand.New(rand.NewSource(TrialSeed(seed, i))), ws); err != nil {
+				if err := fn(i, rand.New(rand.NewSource(sweep.TrialSeed(seed, i))), ws); err != nil {
 					fail(i, err)
 				}
 			}

@@ -4,37 +4,49 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"randpriv/internal/sweep"
 )
+
+// withGOMAXPROCS sets GOMAXPROCS for the rest of the test and restores
+// the previous value when the test ends.
+func withGOMAXPROCS(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func TestTrialSeedDecorrelated(t *testing.T) {
 	seen := make(map[int64]int)
 	for i := 0; i < 1000; i++ {
-		s := TrialSeed(2005, i)
+		s := sweep.TrialSeed(2005, i)
 		if j, dup := seen[s]; dup {
 			t.Fatalf("trials %d and %d share seed %d", j, i, s)
 		}
 		seen[s] = i
 	}
-	if TrialSeed(1, 0) == TrialSeed(2, 0) {
+	if sweep.TrialSeed(1, 0) == sweep.TrialSeed(2, 0) {
 		t.Error("different base seeds must give different trial seeds")
 	}
 }
 
 func TestRunnerRunsEveryTrialOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(t, procs)
 		var counts [50]int64
-		err := Runner{Workers: workers}.Run(len(counts), 7, func(i int, rng *rand.Rand) error {
+		err := Runner{}.Run(len(counts), 7, func(i int, rng *rand.Rand) error {
 			atomic.AddInt64(&counts[i], 1)
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		for i, c := range counts {
 			if c != 1 {
-				t.Fatalf("workers=%d: trial %d ran %d times", workers, i, c)
+				t.Fatalf("GOMAXPROCS=%d: trial %d ran %d times", procs, i, c)
 			}
 		}
 	}
@@ -42,11 +54,12 @@ func TestRunnerRunsEveryTrialOnce(t *testing.T) {
 
 // TestRunnerDeterministicAcrossWorkers is the reproducibility contract:
 // the same seed must produce bit-identical trial outputs no matter how
-// many workers execute the pool.
+// many goroutines execute the trials.
 func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
-	draw := func(workers int) []float64 {
+	draw := func(procs int) []float64 {
+		withGOMAXPROCS(t, procs)
 		out := make([]float64, 20)
-		err := Runner{Workers: workers}.Run(len(out), 2005, func(i int, rng *rand.Rand) error {
+		err := Runner{}.Run(len(out), 2005, func(i int, rng *rand.Rand) error {
 			// A few dependent draws so any stream-sharing between trials
 			// or re-seeding difference would show up.
 			v := rng.NormFloat64()
@@ -57,52 +70,45 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return out
 	}
 	want := draw(1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := draw(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d diverged from serial run:\ngot  %v\nwant %v", workers, got, want)
-		}
+	if got := draw(4); !reflect.DeepEqual(got, want) {
+		t.Errorf("GOMAXPROCS=4 diverged from GOMAXPROCS=1:\ngot  %v\nwant %v", got, want)
 	}
 }
 
-// TestExperimentsDeterministicAcrossWorkers runs a real sweep at several
-// pool sizes and demands identical figures.
+// TestExperimentsDeterministicAcrossWorkers runs real sweeps at
+// GOMAXPROCS 1 and 4 and demands identical figures.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	cfg := smallCfg()
 	cfg.N = 200
-	base := func(workers int) *Figure {
-		c := cfg
-		c.Workers = workers
-		fig, err := Experiment1(c, []int{5, 10, 15, 20})
+	base := func(procs int) *Figure {
+		withGOMAXPROCS(t, procs)
+		fig, err := Experiment1(cfg, []int{5, 10, 15, 20})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return fig
 	}
 	want := base(1)
-	for _, workers := range []int{2, 4} {
-		got := base(workers)
-		if !reflect.DeepEqual(got.Points, want.Points) {
-			t.Errorf("Experiment1 with %d workers diverged from 1 worker", workers)
-		}
+	if got := base(4); !reflect.DeepEqual(got.Points, want.Points) {
+		t.Error("Experiment1 at GOMAXPROCS=4 diverged from GOMAXPROCS=1")
 	}
 
-	fig4 := func(workers int) *Figure4 {
-		c := cfg
-		c.Workers = workers
-		fig, err := experiment4At(c, 10, 5, []float64{0, 0.5, 1, 1.5, 2})
+	fig4 := func(procs int) *Figure4 {
+		withGOMAXPROCS(t, procs)
+		fig, err := experiment4At(cfg, 10, 5, []float64{0, 0.5, 1, 1.5, 2})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return fig
 	}
 	want4 := fig4(1)
 	if got4 := fig4(4); !reflect.DeepEqual(got4.Points, want4.Points) {
-		t.Error("Experiment4 with 4 workers diverged from 1 worker")
+		t.Error("Experiment4 at GOMAXPROCS=4 diverged from GOMAXPROCS=1")
 	}
 	if want4.IndependentIndex != 2 {
 		t.Errorf("IndependentIndex = %d, want 2", want4.IndependentIndex)
@@ -111,22 +117,24 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRunnerPropagatesError(t *testing.T) {
 	sentinel := errors.New("trial failed")
-	for _, workers := range []int{1, 4} {
-		err := Runner{Workers: workers}.Run(10, 7, func(i int, rng *rand.Rand) error {
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(t, procs)
+		err := Runner{}.Run(10, 7, func(i int, rng *rand.Rand) error {
 			if i == 6 {
 				return sentinel
 			}
 			return nil
 		})
 		if !errors.Is(err, sentinel) {
-			t.Errorf("workers=%d: err = %v, want sentinel", workers, err)
+			t.Errorf("GOMAXPROCS=%d: err = %v, want sentinel", procs, err)
 		}
 	}
 }
 
 func TestRunnerReturnsLowestIndexedError(t *testing.T) {
+	withGOMAXPROCS(t, 4)
 	errLow, errHigh := errors.New("low"), errors.New("high")
-	err := Runner{Workers: 4}.Run(8, 7, func(i int, rng *rand.Rand) error {
+	err := Runner{}.Run(8, 7, func(i int, rng *rand.Rand) error {
 		switch i {
 		case 2:
 			return errLow

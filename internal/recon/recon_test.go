@@ -183,7 +183,7 @@ func TestUDRBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	want := mat.Zeros(n, m)
 	for j := 0; j < m; j++ {
 		col := tc.y.Col(j)
-		d, err := asr.Reconstruct(col, udr.Noise, udr.Opts)
+		d, err := asr.Reconstruct(col, udr.Noise, asr.Options{})
 		if err != nil {
 			t.Fatalf("asr.Reconstruct column %d: %v", j, err)
 		}

@@ -28,9 +28,6 @@ type UDR struct {
 	// the randomization model). Its PDF is called from several
 	// goroutines at once.
 	Noise dist.Continuous
-	// Opts tunes the density reconstruction grid; zero values take the
-	// asr defaults.
-	Opts asr.Options
 }
 
 // NewUDR returns a UDR attack for i.i.d. N(0, σ²) noise.
@@ -50,7 +47,7 @@ func (u *UDR) Reconstruct(y *mat.Dense) (*mat.Dense, error) {
 	out := mat.Zeros(n, m)
 	errs := make([]error, m)
 	mat.ParallelFor(m, func(j int) {
-		_, means, err := asr.ReconstructPosterior(y.Col(j), u.Noise, u.Opts)
+		_, means, err := asr.ReconstructPosterior(y.Col(j), u.Noise, asr.Options{})
 		if err != nil {
 			errs[j] = err
 			return

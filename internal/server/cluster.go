@@ -57,7 +57,7 @@ import (
 func (s *Server) openCluster() error {
 	st, err := cluster.OpenStore(s.cfg.ClusterDir, cluster.StoreOptions{FS: s.cfg.FS})
 	if err != nil {
-		return err
+		return fmt.Errorf("%w %s: %w", ErrClusterDir, s.cfg.ClusterDir, err)
 	}
 	// Three consecutive infrastructure failures open the breaker; while
 	// it cools down every delegable computation goes straight to the

@@ -23,7 +23,7 @@
 //     "assess before you publish" loop is served without recompute.
 //
 // Determinism: a request carries its own seed and builds its own RNG via
-// the experiment.Runner seeding discipline (TrialSeed), so identical
+// sweep.PointRNG (sweep.TrialSeed's SplitMix64 finalizer), so identical
 // requests with identical seeds produce byte-identical responses at any
 // concurrency — the property the -race load test pins.
 package server
@@ -210,14 +210,20 @@ type Server struct {
 	mux     *http.ServeMux
 }
 
-// ErrSpoolDir marks a New that failed because Config.SpoolDir could not
-// be created.
-var ErrSpoolDir = errors.New("server: cannot create spool dir")
+// ErrSpoolDir, ErrJobsDir and ErrClusterDir mark a New that failed
+// because Config.SpoolDir, JobsDir or ClusterDir could not be created or
+// opened.
+var (
+	ErrSpoolDir   = errors.New("server: cannot create spool dir")
+	ErrJobsDir    = errors.New("server: cannot open jobs dir")
+	ErrClusterDir = errors.New("server: cannot open cluster dir")
+)
 
 // New builds a Server from cfg (zero-value fields take defaults). It
 // creates the spool dir, and the jobs and cluster state dirs, if they
-// are missing; the error is one of them failing to open (a spool dir
-// failure wraps ErrSpoolDir) — everything else is infallible.
+// are missing; the error is one of them failing to open, wrapping the
+// matching ErrSpoolDir, ErrJobsDir or ErrClusterDir — everything else is
+// infallible.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	fsys := faultfs.Default(cfg.FS)
@@ -255,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 			s.cluster.Close()
 		}
 		s.pool.Close()
-		return nil, err
+		return nil, fmt.Errorf("%w %s: %w", ErrJobsDir, cfg.JobsDir, err)
 	}
 	s.jobs = mgr
 	for _, rt := range s.routes() {

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"randpriv/internal/core"
-	"randpriv/internal/experiment"
 	"randpriv/internal/faultfs"
 	"randpriv/internal/mat"
 	"randpriv/internal/stream"
@@ -29,20 +28,33 @@ type Env struct {
 	SpoolDir string
 }
 
-// PointRNG builds a point's perturbation RNG. The seed flows through the
-// same SplitMix64 derivation the experiment.Runner uses for its trials,
-// so a point is trial 0 of its own seed: decorrelated from neighbouring
-// seeds, and bit-identical every time the same (seed, params, data) is
-// evaluated — standalone or mid-sweep.
+// TrialSeed derives the RNG seed of one trial from the base seed. It is a
+// SplitMix64 finalizer over (base, trial), so neighbouring trials get
+// decorrelated streams — unlike base+trial, which would hand adjacent
+// trials strongly overlapping math/rand state.
+func TrialSeed(base int64, trial int) int64 {
+	z := uint64(base) + (uint64(trial)+1)*0x9E3779B97F4A7C15
+	z ^= z >> 30
+	z *= 0xBF58476D1CE4E5B9
+	z ^= z >> 27
+	z *= 0x94D049BB133111EB
+	z ^= z >> 31
+	return int64(z)
+}
+
+// PointRNG builds a point's perturbation RNG. The seed flows through
+// TrialSeed, so a point is trial 0 of its own seed: decorrelated from
+// neighbouring seeds, and bit-identical every time the same (seed,
+// params, data) is evaluated — standalone or mid-sweep.
 func PointRNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(experiment.TrialSeed(seed, 0)))
+	return rand.New(rand.NewSource(TrialSeed(seed, 0)))
 }
 
 // UtilitySeed derives utility probe i's RNG seed. Each probe gets its
 // own trial-derived seed, disjoint from the perturbation's trial 0, so
 // adding or reordering probes never moves the noise bytes.
 func UtilitySeed(seed int64, i int) int64 {
-	return experiment.TrialSeed(seed, 1000+i)
+	return TrialSeed(seed, 1000+i)
 }
 
 // BuildDefense constructs the point's defense through the registry. A
