@@ -11,11 +11,23 @@
 //
 //	f^{j+1}(x) = (1/n) Σ_i f_R(y_i − x)·f^j(x) / ∫ f_R(y_i − z)·f^j(z) dz
 //
-// starting from a uniform density, and stopping when successive estimates
-// change by less than Tol in L1 or after MaxIter rounds. In practice the
-// default Tol of 1e-4 is not reached: synthetic columns of n = 300, 1000
-// and 20000 samples all ran the full 100 rounds with Converged false, so
-// MaxIter is what bounds the cost.
+// starting from a uniform density and running MaxIter rounds. As in
+// Agrawal and Srikant's own algorithm, the sum runs over a partition of
+// the samples rather than the samples themselves: y is bucketed into
+// J = 2·Bins equal-width intervals over [min y, max y], and each
+// non-empty interval enters the sum as its count times the term of its
+// mean. A round thus reads a kernel of at most J×Bins entries instead of
+// n×Bins, and a reconstruction with posterior means costs
+// O(MaxIter·J·Bins + n·Bins), the second term being the posterior pass,
+// which stays exact per sample.
+//
+// The interval sum approximates the per-sample one. On perfbench's data
+// (synth.Spectrum{P: 3, Principal: 400, Tail: 4}, 300×10 and 1000×10,
+// seeds 42, 123 and 456), the RMSE of the posterior means differs from
+// the per-sample iteration's by at most 1e-4 relative overall and 1e-3
+// per column (measured worst: 4.4e-5 and 3.1e-4), under Normal noise of
+// σ = 5 and Laplace noise of the same variance; asr_test.go keeps the
+// per-sample iteration as that oracle.
 package asr
 
 import (
@@ -28,14 +40,11 @@ import (
 
 // Options configures the reconstruction.
 type Options struct {
-	// Bins is the number of grid cells for the density estimate.
-	// Defaults to 100.
+	// Bins is the number of grid cells for the density estimate; the
+	// samples are bucketed into 2·Bins intervals. Defaults to 100.
 	Bins int
-	// MaxIter bounds the Bayesian update rounds. Defaults to 100.
+	// MaxIter is the number of Bayesian update rounds. Defaults to 100.
 	MaxIter int
-	// Tol is the L1 convergence threshold between successive density
-	// estimates. Defaults to 1e-4.
-	Tol float64
 	// Pad widens the grid beyond the sample range by Pad times the noise
 	// standard deviation on each side, so that the support of X (which is
 	// narrower than that of Y) is covered. Defaults to 1.
@@ -48,9 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-4
 	}
 	if o.Pad <= 0 {
 		o.Pad = 1
@@ -67,11 +73,6 @@ type Density struct {
 	F []float64
 	// Width is the grid cell width.
 	Width float64
-	// Iterations is the number of update rounds performed.
-	Iterations int
-	// Converged records whether the L1 tolerance was reached before
-	// MaxIter.
-	Converged bool
 }
 
 // ErrNoSamples is returned when the disguised sample set is empty.
@@ -80,46 +81,17 @@ var ErrNoSamples = errors.New("asr: no samples")
 // Reconstruct estimates the density of X from the disguised samples y and
 // the known noise distribution.
 func Reconstruct(y []float64, noise dist.Continuous, opts Options) (*Density, error) {
-	d, _, err := reconstruct(y, noise, opts)
-	return d, err
-}
-
-// ReconstructPosterior estimates the density of X as Reconstruct does and
-// returns, for every sample, the posterior mean E[X | Y=y[i]] under that
-// density: the same bits as d.PosteriorMean(y[i], noise). The posterior
-// pass reads f_R(y_i − x_k) from the noise kernel the iteration built,
-// the same PDF arguments, instead of evaluating the PDF n×Bins more
-// times. The kernel (8·n·Bins bytes) is dropped on return.
-func ReconstructPosterior(y []float64, noise dist.Continuous, opts Options) (*Density, []float64, error) {
-	d, kernel, err := reconstruct(y, noise, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, d.posteriorMeans(y, kernel), nil
-}
-
-// reconstruct runs the iteration and also returns the n×Bins noise
-// kernel it built, row i holding f_R(y_i − x_k) for every grid point.
-func reconstruct(y []float64, noise dist.Continuous, opts Options) (*Density, []float64, error) {
 	if len(y) == 0 {
-		return nil, nil, ErrNoSamples
+		return nil, ErrNoSamples
 	}
 	o := opts.withDefaults()
 	noiseSD := math.Sqrt(noise.Variance())
 	noiseMean := noise.Mean()
 
-	lo, hi := y[0], y[0]
-	for _, v := range y {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+	ylo, yhi := minMax(y)
 	// X = Y − R, so shift by the noise mean and pad by Pad·sd.
-	lo -= noiseMean + o.Pad*noiseSD
-	hi += -noiseMean + o.Pad*noiseSD
+	lo := ylo - (noiseMean + o.Pad*noiseSD)
+	hi := yhi + (-noiseMean + o.Pad*noiseSD)
 	if hi <= lo {
 		hi = lo + 1
 	}
@@ -129,13 +101,13 @@ func reconstruct(y []float64, noise dist.Continuous, opts Options) (*Density, []
 		grid[i] = lo + (float64(i)+0.5)*width
 	}
 
-	// Precompute the noise kernel f_R(y_i − x_k): n×bins. This dominates
-	// the cost, so it is hoisted out of the iteration loop.
-	kernel := make([]float64, len(y)*o.Bins)
-	for i, yi := range y {
-		row := kernel[i*o.Bins : (i+1)*o.Bins]
+	means, counts := intervals(y, ylo, yhi, 2*o.Bins)
+	// kernel row s holds f_R(ȳ_s − x_k) for every grid point.
+	kernel := make([]float64, len(means)*o.Bins)
+	for s, m := range means {
+		row := kernel[s*o.Bins:][:o.Bins]
 		for k, xk := range grid {
-			row[k] = noise.PDF(yi - xk)
+			row[k] = noise.PDF(m - xk)
 		}
 	}
 
@@ -144,100 +116,108 @@ func reconstruct(y []float64, noise dist.Continuous, opts Options) (*Density, []
 		f[i] = 1 / (width * float64(o.Bins)) // uniform start
 	}
 	next := make([]float64, o.Bins)
-
-	d := &Density{Grid: grid, F: f, Width: width}
+	inv := 1 / float64(len(y))
 	for iter := 0; iter < o.MaxIter; iter++ {
-		update(next, f, kernel, width)
-		inv := 1 / float64(len(y))
-		var l1 float64
-		for k := range next {
-			next[k] *= inv
-			l1 += math.Abs(next[k]-f[k]) * width
-		}
-		copy(f, next)
-		d.Iterations = iter + 1
-		if l1 < o.Tol {
-			d.Converged = true
-			break
+		update(next, f, kernel, counts, width)
+		for k, v := range next {
+			f[k] = v * inv
 		}
 	}
 	normalize(f, width)
-	return d, kernel, nil
+	return &Density{Grid: grid, F: f, Width: width}, nil
 }
 
-// update sets next[k] = Σ_i row_i[k]·f[k]/denom_i, where row_i is sample
-// i's kernel row and denom_i = width·Σ_k row_i[k]·f[k] (∫ f_R(y_i − z)
-// f(z) dz on the grid); a sample whose denominator is not positive is
-// outside the modeled support and skipped.
-//
-// Samples go in blocks of four. The block's four denominators are four
-// independent chains, each still summed in grid order, so their adds
-// overlap instead of waiting on one another; the block's contributions
-// then reach each next[k] in sample order. Every value thus sees the
-// same operations in the same order as one sample at a time, and the
-// result is bit-identical to that loop. A block with a zero, negative
-// or NaN denominator goes sample by sample through addSample, so the
-// skip applies exactly as it does alone.
-func update(next, f, kernel []float64, width float64) {
+// ReconstructPosterior estimates the density of X as Reconstruct does and
+// returns, for every sample, the posterior mean E[X | Y=y[i]] under that
+// density: exactly d.PosteriorMean(y[i], noise).
+func ReconstructPosterior(y []float64, noise dist.Continuous, opts Options) (*Density, []float64, error) {
+	d, err := Reconstruct(y, noise, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]float64, len(y))
+	for i, yi := range y {
+		out[i] = d.PosteriorMean(yi, noise)
+	}
+	return d, out, nil
+}
+
+func minMax(y []float64) (lo, hi float64) {
+	lo, hi = y[0], y[0]
+	for _, v := range y {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// intervals buckets y into j equal-width intervals over [lo, hi], y's
+// min and max, and returns the mean and count of every non-empty one, in
+// interval order. Each mean is kept as a running mean, which stays
+// finite where a sum of large values could overflow.
+func intervals(y []float64, lo, hi float64, j int) (means, counts []float64) {
+	width := (hi - lo) / float64(j)
+	means = make([]float64, j)
+	counts = make([]float64, j)
+	for _, v := range y {
+		s := intervalIndex(v, lo, width, j)
+		counts[s]++
+		means[s] += (v - means[s]) / counts[s]
+	}
+	used := 0
+	for s, c := range counts {
+		if c > 0 {
+			means[used], counts[used] = means[s], c
+			used++
+		}
+	}
+	return means[:used], counts[:used]
+}
+
+// intervalIndex returns the interval of v, clamped to [0, j−1]: max y
+// falls on the upper edge of the last interval, and the quotient is NaN
+// when the width is zero (a constant column) or infinite (a column whose
+// range overflows float64), which lands in the first interval.
+func intervalIndex(v, lo, width float64, j int) int {
+	t := (v - lo) / width
+	switch {
+	case !(t >= 0):
+		return 0
+	case t >= float64(j):
+		return j - 1
+	}
+	return int(t)
+}
+
+// update sets next[k] = Σ_s c_s·row_s[k]·f[k]/denom_s, where row_s is
+// interval s's kernel row, c_s its count and denom_s = width·Σ_k
+// row_s[k]·f[k] (∫ f_R(ȳ_s − z) f(z) dz on the grid). An interval whose
+// denominator is not positive lies outside the modeled support and adds
+// nothing; a NaN denominator is not skipped.
+func update(next, f, kernel, counts []float64, width float64) {
 	bins := len(f)
 	next = next[:bins]
 	for k := range next {
 		next[k] = 0
 	}
-	n := len(kernel) / bins
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0 := kernel[i*bins:][:bins]
-		r1 := kernel[(i+1)*bins:][:bins]
-		r2 := kernel[(i+2)*bins:][:bins]
-		r3 := kernel[(i+3)*bins:][:bins]
-		var d0, d1, d2, d3 float64
-		for k, fk := range f {
-			d0 += r0[k] * fk
-			d1 += r1[k] * fk
-			d2 += r2[k] * fk
-			d3 += r3[k] * fk
-		}
-		d0 *= width
-		d1 *= width
-		d2 *= width
-		d3 *= width
-		if d0 > 0 && d1 > 0 && d2 > 0 && d3 > 0 {
-			for k, fk := range f {
-				next[k] += r0[k] * fk / d0
-				next[k] += r1[k] * fk / d1
-				next[k] += r2[k] * fk / d2
-				next[k] += r3[k] * fk / d3
-			}
-			continue
-		}
-		addSample(next, f, r0, d0)
-		addSample(next, f, r1, d1)
-		addSample(next, f, r2, d2)
-		addSample(next, f, r3, d3)
-	}
-	for ; i < n; i++ {
-		row := kernel[i*bins:][:bins]
+	for s, c := range counts {
+		row := kernel[s*bins:][:bins]
 		var denom float64
 		for k, fk := range f {
 			denom += row[k] * fk
 		}
 		denom *= width
-		addSample(next, f, row, denom)
-	}
-}
-
-// addSample adds one sample's terms row[k]·f[k]/denom to next, or
-// nothing when denom is not positive (the sample lies outside the
-// modeled support).
-func addSample(next, f, row []float64, denom float64) {
-	if denom <= 0 {
-		return
-	}
-	row = row[:len(f)]
-	next = next[:len(f)]
-	for k, fk := range f {
-		next[k] += row[k] * fk / denom
+		if denom <= 0 {
+			continue
+		}
+		scale := c / denom
+		for k, fk := range f {
+			next[k] += row[k] * fk * scale
+		}
 	}
 }
 
@@ -316,34 +296,7 @@ func (d *Density) PosteriorMean(y float64, noise dist.Continuous) float64 {
 	return num / denom
 }
 
-// posteriorMeans evaluates PosteriorMean for each sample in y, reading
-// the noise density from kernel (row i holds f_R(y[i] − Grid[k])) where
-// PosteriorMean calls the PDF with the same arguments. The arithmetic is
-// PosteriorMean's, term by term, so the results are bit-identical.
-func (d *Density) posteriorMeans(y, kernel []float64) []float64 {
-	grid := d.Grid
-	bins := len(grid)
-	fs := d.F[:bins]
-	out := make([]float64, len(y))
-	for i, yi := range y {
-		row := kernel[i*bins:][:bins]
-		var num, denom float64
-		for k, x := range grid {
-			w := fs[k] * row[k]
-			num += x * w
-			denom += w
-		}
-		if denom <= 0 {
-			out[i] = yi
-			continue
-		}
-		out[i] = num / denom
-	}
-	return out
-}
-
 // String summarizes the reconstruction for logs.
 func (d *Density) String() string {
-	return fmt.Sprintf("asr.Density(bins=%d, width=%.4g, iters=%d, converged=%t)",
-		len(d.Grid), d.Width, d.Iterations, d.Converged)
+	return fmt.Sprintf("asr.Density(bins=%d, width=%.4g)", len(d.Grid), d.Width)
 }

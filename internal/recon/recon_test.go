@@ -208,6 +208,49 @@ func TestUDRBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestUDRDegenerateColumns pins UDR's answer on columns whose range
+// degenerates the interval partition. A column spanning ±1e308
+// overflows its range to +Inf: its density is NaN, every estimate is
+// NaN (which the service reports as a parameter overflow), and the other
+// column is unaffected. A constant column and a one-row column have a
+// zero-width range; each estimate is the disguised value to rounding.
+func TestUDRDegenerateColumns(t *testing.T) {
+	u := NewUDR(5)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+
+	out, err := u.Reconstruct(mat.NewFromRows([][]float64{{-1e308, 1}, {1e308, 2}, {0, 3}, {5, 4}}))
+	if err != nil {
+		t.Fatalf("overflowing column: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if a, b := out.At(i, 0), out.At(i, 1); !math.IsNaN(a) || math.IsNaN(b) || math.IsInf(b, 0) {
+			t.Errorf("overflowing column: row %d = (%v, %v), want (NaN, finite)", i, a, b)
+		}
+	}
+
+	rows := make([][]float64, 50)
+	for i := range rows {
+		rows[i] = []float64{7, float64(i)}
+	}
+	out, err = u.Reconstruct(mat.NewFromRows(rows))
+	if err != nil {
+		t.Fatalf("constant column: %v", err)
+	}
+	for i := range rows {
+		if got := out.At(i, 0); got != out.At(0, 0) || !near(got, 7) {
+			t.Errorf("constant column: x̂[%d] = %v, want the same ≈7 in every row", i, got)
+		}
+	}
+
+	out, err = u.Reconstruct(mat.NewFromRows([][]float64{{3, -2}}))
+	if err != nil {
+		t.Fatalf("one row: %v", err)
+	}
+	if a, b := out.At(0, 0), out.At(0, 1); !near(a, 3) || !near(b, -2) {
+		t.Errorf("one row: x̂ = (%v, %v), want ≈(3, -2)", a, b)
+	}
+}
+
 func TestPCADRNoReductionReturnsY(t *testing.T) {
 	tc := makeCorrelated(t, 300, 4, 2, 4)
 	attack := &PCADR{Sigma2: tc.sigma * tc.sigma, Select: SelectFixed, P: 4}

@@ -16,8 +16,9 @@ import (
 // O(chunk + m²) regardless of the row count. NDR, PCA-DR and BE-DR
 // qualify — they need only the first two sample moments (one sketching
 // pass) plus an affine per-row map (a second pass). UDR and SF do not:
-// UDR's EM iterates over all rows per step and SF inspects the full data
-// spectrum.
+// UDR's iteration needs each column's min and max before it can bucket
+// the rows into intervals, which no streamed sketch carries yet, and SF
+// inspects the full data spectrum.
 //
 // ReconstructStream calls src.Reset() before each pass, never mutates the
 // chunks, and may pass sink.Append a buffer it reuses (the stream.Sink

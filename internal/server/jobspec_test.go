@@ -38,7 +38,7 @@ func TestJobSpecWireForm(t *testing.T) {
 			name:   "memory",
 			query:  "sigma=5&seed=3&chunk=32",
 			spec:   `{"sigma":5,"seed":3,"scheme":"additive","chunk":32,"stream":false,"epsilon":1,"delta":0.00001,"sensitivity":1,"digest":"` + digest + `"}`,
-			result: "3e17ba72abad775949989a79db12b43e1b138dd8b4822d28fa3e633fa5984a42",
+			result: "3aaa77bd305634dd25cd904c0ca878e68e5fefe38e11822d6dfaa0a1dee45393",
 		},
 		{
 			name:   "stream-attacks",
@@ -50,7 +50,7 @@ func TestJobSpecWireForm(t *testing.T) {
 			name:   "dp-utility",
 			query:  "scheme=dp-laplace&epsilon=0.5&sensitivity=2&seed=5&chunk=32&utility=kmeans,nbayes&k=3",
 			spec:   `{"sigma":5,"seed":5,"scheme":"dp-laplace","chunk":32,"stream":false,"utility":["kmeans","nbayes"],"epsilon":0.5,"delta":0.00001,"sensitivity":2,"k":3,"digest":"` + digest + `"}`,
-			result: "e0b2a5af3711535efdb9043dfa8f61e0e89b1df4b7148b758a35cc50bdade093",
+			result: "66f2c615f967440232b6ae6f0dc8abe039b1382ff006d9ac9795afea8fa94a81",
 		},
 		{
 			name:   "sweep",

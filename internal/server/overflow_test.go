@@ -118,3 +118,23 @@ func TestOverflowingDefenseRejectedOnEveryPath(t *testing.T) {
 		}
 	})
 }
+
+// TestOverflowingColumnRejected: an upload whose column spans ±1e308
+// overflows that column's range to +Inf. UDR's estimates for it are
+// NaN, and the sync assessment reports that as a 400 param_invalid
+// naming the value, not as a panic or a 500.
+func TestOverflowingColumnRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheEntries: -1})
+	status, _, out := post(t, ts, "/v1/assess?sigma=5", []byte("a,b\n-1e308,1\n1e308,2\n0,3\n5,4\n"))
+	var env struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	if err := json.Unmarshal(out, &env); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", out, err)
+	}
+	const want = "sweep: report value results[UDR].rmse is NaN: the parameters overflow float64"
+	if status != http.StatusBadRequest || env.Code != "param_invalid" || env.Error != want {
+		t.Errorf("status %d code %q error %q, want 400 param_invalid %q", status, env.Code, env.Error, want)
+	}
+}
