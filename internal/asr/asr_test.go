@@ -277,13 +277,53 @@ func iterateRef(y, samples []float64, noise dist.Continuous, opts Options) *Dens
 	return &Density{Grid: grid, F: f, Width: width}
 }
 
-// posteriorMeansRef is the per-sample PosteriorMean loop.
+// posteriorMeanRef is the posterior mean with one noise.PDF call per
+// grid cell: the bits PosteriorMean's row form must reproduce.
+func posteriorMeanRef(d *Density, y float64, noise dist.Continuous) float64 {
+	var num, denom float64
+	for k, x := range d.Grid {
+		w := d.F[k] * noise.PDF(y-x)
+		num += x * w
+		denom += w
+	}
+	if denom <= 0 {
+		return y
+	}
+	return num / denom
+}
+
+// posteriorMeansRef is posteriorMeanRef for every sample.
 func posteriorMeansRef(d *Density, y []float64, noise dist.Continuous) []float64 {
 	out := make([]float64, len(y))
 	for i, yi := range y {
-		out[i] = d.PosteriorMean(yi, noise)
+		out[i] = posteriorMeanRef(d, yi, noise)
 	}
 	return out
+}
+
+// updateRef is update one interval at a time: the bits the blocked
+// update must reproduce.
+func updateRef(next, f, kernel, counts []float64, width float64) {
+	bins := len(f)
+	next = next[:bins]
+	for k := range next {
+		next[k] = 0
+	}
+	for s, c := range counts {
+		row := kernel[s*bins:][:bins]
+		var denom float64
+		for k, fk := range f {
+			denom += row[k] * fk
+		}
+		denom *= width
+		if denom <= 0 {
+			continue
+		}
+		scale := c / denom
+		for k, fk := range f {
+			next[k] += row[k] * fk * scale
+		}
+	}
 }
 
 // firstBitsDiff returns the first index where a and b differ in bits,
@@ -304,7 +344,7 @@ func firstBitsDiff(a, b []float64) int {
 // column: perfbench's generator (synth.Spectrum{P: 3, Principal: 400,
 // Tail: 4}) at n×10 and the given seed, and its disguised copy under
 // noise.
-func oracleData(t *testing.T, n int, seed int64, noise dist.Continuous) (x, y [][]float64) {
+func oracleData(t testing.TB, n int, seed int64, noise dist.Continuous) (x, y [][]float64) {
 	t.Helper()
 	const m = 10
 	vals, err := synth.Spectrum{M: m, P: 3, Principal: 400, Tail: 4}.Values()
@@ -419,47 +459,64 @@ func intervalRepresentatives(y []float64, j int) []float64 {
 
 var oracleSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 1000}
 
+// noiseShapes are the noise laws of the bit tests: two with PDFRow and
+// one without.
+var noiseShapes = []struct {
+	name  string
+	noise dist.Continuous
+}{
+	{"normal", dist.NewNormal(0, 1.5)},
+	{"laplace", dist.NewLaplace(0.3, 1)},
+	{"uniform", dist.NewUniform(-2, 2)},
+}
+
+// optsSet are the grids of the bit tests: the default and a
+// non-default one.
+var optsSet = []Options{{}, {Bins: 37, MaxIter: 400}}
+
+// bimodalSamples draws n samples of a two-mode X disguised with noise.
+func bimodalSamples(rng *rand.Rand, n int, noise dist.Continuous) []float64 {
+	y := make([]float64, n)
+	for i := range y {
+		x := 2 * rng.NormFloat64()
+		if rng.Intn(2) == 0 {
+			x += 5
+		}
+		y[i] = x + noise.Rand(rng)
+	}
+	return y
+}
+
 // TestReconstructMatchesOneSampleReference: the interval iteration is
 // the one-sample iteration over the interval representatives. With each
 // sample replaced by its interval's mean, the one-sample reference on
 // the grid Reconstruct builds for y gives Reconstruct's density to
 // rounding (1e-12 in L1), for sizes that leave every sample alone in its
 // interval (small n) or share intervals (n = 1000), three noise shapes,
-// and the default and a non-default grid. The posterior pass is the
-// per-sample PosteriorMean loop bit for bit, and Reconstruct returns
-// ReconstructPosterior's density bit for bit. How far the
-// representatives move the result from the per-sample iteration on y
-// itself is the accuracy oracle's concern.
+// and the default and a non-default grid. The posterior pass, and
+// PosteriorMean, are the per-cell PDF loop (posteriorMeanRef) bit for
+// bit, and Reconstruct returns ReconstructPosterior's density bit for
+// bit. How far the representatives move the result from the per-sample
+// iteration on y itself is the accuracy oracle's concern.
 func TestReconstructMatchesOneSampleReference(t *testing.T) {
-	noises := []struct {
-		name  string
-		noise dist.Continuous
-	}{
-		{"normal", dist.NewNormal(0, 1.5)},
-		{"laplace", dist.NewLaplace(0.3, 1)},
-		{"uniform", dist.NewUniform(-2, 2)},
-	}
-	optsSet := []Options{{}, {Bins: 37, MaxIter: 400}}
-	for _, nz := range noises {
+	for _, nz := range noiseShapes {
 		for _, n := range oracleSizes {
 			for oi, opts := range optsSet {
 				nz, n, opts := nz, n, opts
 				t.Run(fmt.Sprintf("%s/n=%d/opts=%d", nz.name, n, oi), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(n)*31 + int64(oi)))
-					y := make([]float64, n)
-					for i := range y {
-						x := 2 * rng.NormFloat64()
-						if rng.Intn(2) == 0 {
-							x += 5
-						}
-						y[i] = x + nz.noise.Rand(rng)
-					}
+					y := bimodalSamples(rng, n, nz.noise)
 					d, means, err := ReconstructPosterior(y, nz.noise, opts)
 					if err != nil {
 						t.Fatalf("ReconstructPosterior: %v", err)
 					}
 					if i := firstBitsDiff(means, posteriorMeansRef(d, y, nz.noise)); i >= 0 {
-						t.Fatalf("posterior mean %d = %v, PosteriorMean %v", i, means[i], d.PosteriorMean(y[i], nz.noise))
+						t.Fatalf("posterior mean %d = %v, per-cell loop %v", i, means[i], posteriorMeanRef(d, y[i], nz.noise))
+					}
+					for i, yi := range y {
+						if got := d.PosteriorMean(yi, nz.noise); math.Float64bits(got) != math.Float64bits(means[i]) {
+							t.Fatalf("PosteriorMean(y[%d]) = %v, ReconstructPosterior %v", i, got, means[i])
+						}
 					}
 					dOnly, err := Reconstruct(y, nz.noise, opts)
 					if err != nil {
@@ -486,62 +543,173 @@ func TestReconstructMatchesOneSampleReference(t *testing.T) {
 	}
 }
 
+// TestUpdateMatchesOneIntervalReference: the blocked update is the
+// one-interval update bit for bit at every one of MaxIter rounds of a
+// reconstruction. The intervals are s bimodal means with counts of 1 to
+// 5, for every interval count s of oracleSizes, on the grid Reconstruct
+// builds for them, under the three noise shapes and both grids. The
+// kernel rows, filled through PDFRow where the law has one, are the
+// per-cell PDF loop's bits too.
+func TestUpdateMatchesOneIntervalReference(t *testing.T) {
+	for _, nz := range noiseShapes {
+		for _, s := range oracleSizes {
+			for oi, opts := range optsSet {
+				nz, s, opts := nz, s, opts
+				t.Run(fmt.Sprintf("%s/intervals=%d/opts=%d", nz.name, s, oi), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(s)*37 + int64(oi)))
+					means := bimodalSamples(rng, s, nz.noise)
+					counts := make([]float64, s)
+					var total float64
+					for i := range counts {
+						counts[i] = float64(1 + rng.Intn(5))
+						total += counts[i]
+					}
+					d, err := Reconstruct(means, nz.noise, opts)
+					if err != nil {
+						t.Fatalf("Reconstruct: %v", err)
+					}
+					bins := len(d.Grid)
+					kernel := make([]float64, s*bins)
+					kernelRef := make([]float64, s*bins)
+					for i, m := range means {
+						pdfRow(nz.noise, kernel[i*bins:][:bins], m, d.Grid)
+						for k, xk := range d.Grid {
+							kernelRef[i*bins+k] = nz.noise.PDF(m - xk)
+						}
+					}
+					if i := firstBitsDiff(kernel, kernelRef); i >= 0 {
+						t.Fatalf("kernel[%d] = %v, per-cell PDF %v", i, kernel[i], kernelRef[i])
+					}
+					f := make([]float64, bins)
+					for k := range f {
+						f[k] = 1 / (d.Width * float64(bins))
+					}
+					next := make([]float64, bins)
+					nextRef := make([]float64, bins)
+					inv := 1 / total
+					maxIter := opts.withDefaults().MaxIter
+					for round := 0; round < maxIter; round++ {
+						update(next, f, kernel, counts, d.Width)
+						updateRef(nextRef, f, kernel, counts, d.Width)
+						if k := firstBitsDiff(next, nextRef); k >= 0 {
+							t.Fatalf("round %d: next[%d] = %v, one-interval update %v", round, k, next[k], nextRef[k])
+						}
+						for k, v := range next {
+							f[k] = v * inv
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestReconstructSkipsNonPositiveDenominators: an interval whose
-// denominator is zero adds nothing to the update, so the update equals
-// the one without that interval bit for bit; a NaN denominator is not
-// skipped and poisons every cell. The flagged intervals sit first,
-// inside and last, for every interval count of oracleSizes.
+// denominator is not positive (0, −0 or −1) adds nothing to the update,
+// so the update equals the one without that interval bit for bit; a NaN
+// denominator is not skipped and poisons every cell. Either way the
+// update is the one-interval reference's bit for bit. The flagged
+// intervals sit at one of a four-interval block's positions (in every
+// other block, so clean blocks run between them) or in the tail, for
+// every interval count of oracleSizes.
 func TestReconstructSkipsNonPositiveDenominators(t *testing.T) {
 	const bins = 24
-	for _, val := range []float64{0, math.NaN()} {
+	const width = 0.25
+	// A flagged interval's row is lead at grid cell 0, where f is 1,
+	// and 0 elsewhere, so its denominator is width·lead rounded: −0 for
+	// the smallest negative subnormal.
+	denoms := []struct {
+		denom, lead float64
+	}{
+		{0, 0},
+		{math.Copysign(0, -1), -math.SmallestNonzeroFloat64},
+		{-1, -4},
+		{math.NaN(), math.NaN()},
+	}
+	for _, dn := range denoms {
 		for _, n := range oracleSizes {
-			val, n := val, n
-			t.Run(fmt.Sprintf("val=%v/n=%d", val, n), func(t *testing.T) {
-				flagged := map[int]bool{n - 1: true}
-				for s := 2; s < n; s += 7 {
-					flagged[s] = true
-				}
-				rng := rand.New(rand.NewSource(int64(n)))
-				f := make([]float64, bins)
-				for k := range f {
-					f[k] = rng.Float64()
-				}
-				var kernel, counts, keptKernel, keptCounts []float64
-				for s := 0; s < n; s++ {
-					row := make([]float64, bins)
-					for k := range row {
-						row[k] = rng.Float64()
-					}
-					c := float64(1 + rng.Intn(5))
-					if flagged[s] {
-						for k := range row {
-							row[k] = val
+			dn, n := dn, n
+			t.Run(fmt.Sprintf("val=%v/n=%d", dn.denom, n), func(t *testing.T) {
+				full := n / 4 * 4
+				for pos := 0; pos <= 4; pos++ {
+					flagged := map[int]bool{}
+					for s := 0; s < n; s++ {
+						if pos < 4 && s < full && s%8 == pos || pos == 4 && s >= full && (s-full)%2 == 0 {
+							flagged[s] = true
 						}
-					} else {
-						keptKernel = append(keptKernel, row...)
-						keptCounts = append(keptCounts, c)
 					}
-					kernel = append(kernel, row...)
-					counts = append(counts, c)
-				}
-				const width = 0.25
-				got := make([]float64, bins)
-				update(got, f, kernel, counts, width)
-				if val == 0 {
-					want := make([]float64, bins)
-					update(want, f, keptKernel, keptCounts, width)
-					if i := firstBitsDiff(got, want); i >= 0 {
-						t.Fatalf("next[%d] = %v, without the zero intervals %v", i, got[i], want[i])
+					if len(flagged) == 0 {
+						continue
 					}
-					return
-				}
-				for k, v := range got {
-					if !math.IsNaN(v) {
-						t.Fatalf("next[%d] = %v, want NaN from the NaN denominator", k, v)
+					name := fmt.Sprintf("pos=%d", pos)
+					if pos == 4 {
+						name = "pos=tail"
 					}
+					t.Run(name, func(t *testing.T) {
+						skipCheck(t, n, flagged, dn.denom, dn.lead, bins, width)
+					})
 				}
 			})
 		}
+	}
+}
+
+// skipCheck runs update over n random intervals, the flagged ones with
+// denominator denom, against updateRef and, unless denom is NaN, against
+// update over the other intervals alone.
+func skipCheck(t *testing.T, n int, flagged map[int]bool, denom, lead float64, bins int, width float64) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	f := make([]float64, bins)
+	for k := range f {
+		f[k] = rng.Float64()
+	}
+	f[0] = 1
+	var kernel, counts, keptKernel, keptCounts []float64
+	for s := 0; s < n; s++ {
+		row := make([]float64, bins)
+		for k := range row {
+			row[k] = rng.Float64()
+		}
+		c := float64(1 + rng.Intn(5))
+		if flagged[s] {
+			for k := range row {
+				row[k] = 0
+			}
+			row[0] = lead
+			var got float64
+			for k, fk := range f {
+				got += row[k] * fk
+			}
+			got *= width
+			if math.Float64bits(got) != math.Float64bits(denom) && !(math.IsNaN(got) && math.IsNaN(denom)) {
+				t.Fatalf("interval %d has denominator %v, want %v", s, got, denom)
+			}
+		} else {
+			keptKernel = append(keptKernel, row...)
+			keptCounts = append(keptCounts, c)
+		}
+		kernel = append(kernel, row...)
+		counts = append(counts, c)
+	}
+	got := make([]float64, bins)
+	update(got, f, kernel, counts, width)
+	ref := make([]float64, bins)
+	updateRef(ref, f, kernel, counts, width)
+	if i := firstBitsDiff(got, ref); i >= 0 {
+		t.Fatalf("next[%d] = %v, one-interval update %v", i, got[i], ref[i])
+	}
+	if math.IsNaN(denom) {
+		for k, v := range got {
+			if !math.IsNaN(v) {
+				t.Fatalf("next[%d] = %v, want NaN from the NaN denominator", k, v)
+			}
+		}
+		return
+	}
+	want := make([]float64, bins)
+	update(want, f, keptKernel, keptCounts, width)
+	if i := firstBitsDiff(got, want); i >= 0 {
+		t.Fatalf("next[%d] = %v, without the flagged intervals %v", i, got[i], want[i])
 	}
 }
 
@@ -602,5 +770,48 @@ func TestIntervalIndexClamps(t *testing.T) {
 	}
 	if total != 4 || len(means) != len(counts) {
 		t.Errorf("overflowing range: counts %v, means %v; want 4 samples", counts, means)
+	}
+}
+
+// benchColumn is one column of perfbench's data (synth.Spectrum{M: 10,
+// P: 3, Principal: 400, Tail: 4}, seed 7) at n rows, disguised with
+// N(0, 5²) noise.
+func benchColumn(b *testing.B, n int) ([]float64, dist.Continuous) {
+	noise := dist.NewNormal(0, 5)
+	_, y := oracleData(b, n, 7, noise)
+	return y[0], noise
+}
+
+// BenchmarkReconstruct measures one column's density: the interval
+// kernel and the MaxIter rounds.
+func BenchmarkReconstruct(b *testing.B) {
+	for _, n := range []int{300, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			y, noise := benchColumn(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Reconstruct(y, noise, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReconstructPosterior measures one UDR column: the density
+// plus the posterior pass over every record.
+func BenchmarkReconstructPosterior(b *testing.B) {
+	for _, n := range []int{300, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			y, noise := benchColumn(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ReconstructPosterior(y, noise, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@
 // survives a spool exactly as it survives the FormatFloat('g', -1) →
 // ParseFloat round trip of CSV — -0, subnormals and ±MaxFloat64
 // included. Rows have a fixed width, so row i of an m-column spool
-// starts at byte SpoolHeaderSize + i·m·8: a spool can be cut at any row
+// starts at byte spoolHeaderSize + i·m·8: a spool can be cut at any row
 // offset without parsing it.
 
 package dataset
@@ -24,9 +24,9 @@ import (
 	"randpriv/internal/stream"
 )
 
-// SpoolHeaderSize is the byte length of a spool header; row data starts
+// spoolHeaderSize is the byte length of a spool header; row data starts
 // at this offset.
-const SpoolHeaderSize = 16
+const spoolHeaderSize = 16
 
 // spoolMagic opens every spool file.
 var spoolMagic = [8]byte{'r', 'p', 'f', '6', '4', 's', 'p', '1'}
@@ -40,18 +40,18 @@ const maxSpoolCols = 1 << 24
 // source or sink and never grown (a reader's is no larger than a chunk).
 const spoolIOBytes = 64 << 10
 
-// SpoolHeader returns the header bytes of an m-column spool.
-func SpoolHeader(cols int) []byte {
-	h := make([]byte, SpoolHeaderSize)
+// spoolHeader returns the header bytes of an m-column spool.
+func spoolHeader(cols int) []byte {
+	h := make([]byte, spoolHeaderSize)
 	copy(h, spoolMagic[:])
 	binary.LittleEndian.PutUint64(h[8:], uint64(cols))
 	return h
 }
 
-// ReadSpoolHeader reads and checks a spool header, returning the column
+// readSpoolHeader reads and checks a spool header, returning the column
 // count.
-func ReadSpoolHeader(r io.Reader) (cols int, err error) {
-	var h [SpoolHeaderSize]byte
+func readSpoolHeader(r io.Reader) (cols int, err error) {
+	var h [spoolHeaderSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return 0, fmt.Errorf("dataset: spool header truncated")
@@ -83,7 +83,7 @@ func NewSpoolWriter(w io.Writer, cols int) (*SpoolWriter, error) {
 	if cols < 1 || cols > maxSpoolCols {
 		return nil, fmt.Errorf("dataset: spool of %d columns", cols)
 	}
-	if _, err := w.Write(SpoolHeader(cols)); err != nil {
+	if _, err := w.Write(spoolHeader(cols)); err != nil {
 		return nil, fmt.Errorf("dataset: write spool header: %w", err)
 	}
 	return &SpoolWriter{w: w, m: cols, io: make([]byte, spoolIOBytes)}, nil
@@ -168,7 +168,7 @@ func (s *SpoolSource) Reset() error {
 	if err != nil {
 		return s.fail(fmt.Errorf("dataset: reopen spool: %w", err))
 	}
-	m, err := ReadSpoolHeader(rc)
+	m, err := readSpoolHeader(rc)
 	if err != nil {
 		rc.Close()
 		return s.fail(err)

@@ -135,13 +135,13 @@ func TestSpoolMatchesCSVPartition(t *testing.T) {
 // short data.
 func TestSpoolRejectsDamage(t *testing.T) {
 	good := spoolBytes(t, mat.NewFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}))
-	huge := SpoolHeader(1)
+	huge := spoolHeader(1)
 	huge[8+7] = 0x7f // a column count no CSV could have
 	for name, b := range map[string][]byte{
 		"empty":            nil,
-		"truncated header": good[:SpoolHeaderSize-3],
+		"truncated header": good[:spoolHeaderSize-3],
 		"bad magic":        append([]byte("notaspoo"), good[8:]...),
-		"zero columns":     SpoolHeader(0),
+		"zero columns":     spoolHeader(0),
 		"huge columns":     huge,
 		"truncated row":    good[:len(good)-8],
 		"misaligned tail":  append(append([]byte{}, good...), 1, 2, 3),

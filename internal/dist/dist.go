@@ -56,9 +56,26 @@ func (d Normal) Mean() float64 { return d.Mu }
 func (d Normal) Variance() float64 { return d.Sigma * d.Sigma }
 
 // PDF implements Continuous.
-func (d Normal) PDF(x float64) float64 {
+func (d Normal) PDF(x float64) float64 { return d.pdf(x, d.norm()) }
+
+// PDFRow sets row[k] = PDF(y − xs[k]) for every k, bit for bit, with
+// the normaliser computed once for the row. row must hold len(xs)
+// values.
+func (d Normal) PDFRow(row []float64, y float64, xs []float64) {
+	norm := d.norm()
+	row = row[:len(xs)]
+	for k, x := range xs {
+		row[k] = d.pdf(y-x, norm)
+	}
+}
+
+// norm is the normaliser σ·√(2π).
+func (d Normal) norm() float64 { return d.Sigma * math.Sqrt(2*math.Pi) }
+
+// pdf is the density at x given the normaliser: PDF's one expression.
+func (d Normal) pdf(x, norm float64) float64 {
 	z := (x - d.Mu) / d.Sigma
-	return math.Exp(-0.5*z*z) / (d.Sigma * math.Sqrt(2*math.Pi))
+	return math.Exp(-0.5*z*z) / norm
 }
 
 // Rand implements Continuous.
@@ -88,8 +105,25 @@ func (d Laplace) Mean() float64 { return d.Mu }
 func (d Laplace) Variance() float64 { return 2 * d.B * d.B }
 
 // PDF implements Continuous.
-func (d Laplace) PDF(x float64) float64 {
-	return math.Exp(-math.Abs(x-d.Mu)/d.B) / (2 * d.B)
+func (d Laplace) PDF(x float64) float64 { return d.pdf(x, d.norm()) }
+
+// PDFRow sets row[k] = PDF(y − xs[k]) for every k, bit for bit, with
+// the normaliser computed once for the row. row must hold len(xs)
+// values.
+func (d Laplace) PDFRow(row []float64, y float64, xs []float64) {
+	norm := d.norm()
+	row = row[:len(xs)]
+	for k, x := range xs {
+		row[k] = d.pdf(y-x, norm)
+	}
+}
+
+// norm is the normaliser 2B.
+func (d Laplace) norm() float64 { return 2 * d.B }
+
+// pdf is the density at x given the normaliser: PDF's one expression.
+func (d Laplace) pdf(x, norm float64) float64 {
+	return math.Exp(-math.Abs(x-d.Mu)/d.B) / norm
 }
 
 // Rand implements Continuous. It uses inverse-transform sampling on a

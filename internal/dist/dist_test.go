@@ -177,3 +177,62 @@ func TestDeterministicStreams(t *testing.T) {
 		t.Error("same seed must give the same draw")
 	}
 }
+
+// TestPDFRowMatchesPDF: PDFRow is PDF at every grid point, bit for bit,
+// for Normal and Laplace at two locations and three scales. Each grid is
+// centred where y − x − μ is 0 and reaches far enough into the tails (60
+// scales for Normal, 800 for Laplace) that exp underflows to subnormals
+// and to 0; y runs over 0, ±1e3, ±Inf and NaN; an empty grid writes
+// nothing.
+func TestPDFRowMatchesPDF(t *testing.T) {
+	type rowLaw interface {
+		Continuous
+		PDFRow(row []float64, y float64, xs []float64)
+	}
+	rng := rand.New(rand.NewSource(11))
+	const n = 4001
+	for _, mu := range []float64{0, 0.3} {
+		for _, scale := range []float64{1e-3, 0.5, 5} {
+			for _, l := range []struct {
+				name  string
+				law   rowLaw
+				reach float64
+			}{
+				{"normal", NewNormal(mu, scale), 60},
+				{"laplace", NewLaplace(mu, scale), 800},
+			} {
+				var subnormal, zero bool
+				xs := make([]float64, n)
+				row := make([]float64, n)
+				for _, y := range []float64{0, 1e3, -1e3, math.Inf(1), math.Inf(-1), math.NaN()} {
+					centre := -mu
+					if !math.IsInf(y, 0) && !math.IsNaN(y) {
+						centre = y - mu
+					}
+					for k := range xs {
+						xs[k] = centre + scale*l.reach*(2*(float64(k)+rng.Float64())/n-1)
+					}
+					l.law.PDFRow(row, y, xs)
+					for k, x := range xs {
+						want := l.law.PDF(y - x)
+						if math.Float64bits(row[k]) != math.Float64bits(want) {
+							t.Fatalf("%s(μ=%v, scale=%v): PDFRow at y=%v, x[%d]=%v is %v, PDF %v",
+								l.name, mu, scale, y, k, x, row[k], want)
+						}
+						subnormal = subnormal || (row[k] > 0 && row[k] < 0x1p-1022)
+						zero = zero || row[k] == 0
+					}
+				}
+				if !subnormal || !zero {
+					t.Errorf("%s(μ=%v, scale=%v): the grids reached no subnormal (%v) or no zero (%v) density",
+						l.name, mu, scale, subnormal, zero)
+				}
+				l.law.PDFRow(nil, 0, nil)
+				row[0] = 42
+				if l.law.PDFRow(row, 1, []float64{}); row[0] != 42 {
+					t.Errorf("%s: PDFRow on an empty grid wrote row[0] = %v", l.name, row[0])
+				}
+			}
+		}
+	}
+}

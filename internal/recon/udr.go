@@ -21,9 +21,9 @@ import (
 // under the mat package's process-wide kernel budget (mat.ParallelFor).
 // Each attribute's arithmetic is the serial loop's, whichever goroutine
 // runs it, so the output is bit-identical at any GOMAXPROCS. A running
-// attribute holds a copy of its column, its posterior means and its
-// interval kernel: 16·n bytes plus at most 2·Bins×Bins float64s (160 KB
-// at the defaults, whatever n is).
+// attribute holds a copy of its column, its posterior means, its
+// interval kernel and one posterior row: 16·n bytes plus at most
+// 2·Bins×Bins + Bins float64s (161 KB at the defaults, whatever n is).
 type UDR struct {
 	// Noise is the known per-entry noise distribution (f_R is public in
 	// the randomization model). Its PDF is called from several

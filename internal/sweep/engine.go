@@ -125,29 +125,20 @@ func (f *finiteSink) Append(chunk *mat.Dense) error {
 	return f.sink.Append(chunk)
 }
 
-// EvaluateStreamPoint runs one point's out-of-core battery. When ndr is
-// non-nil the precomputed baseline is reused — the sweep executor's
-// group sharing, legal because the baseline depends only on the two
-// streams, never on the battery. When it is nil the baseline is computed
-// here, exactly as a standalone streamed assessment does. sketch follows
-// the core.SketchFn contract: nil makes every attack run its own pass 1.
+// EvaluateStreamPoint runs one point's out-of-core battery against the
+// precomputed NDR baseline *ndr, which must be non-nil: the sweep
+// executor computes it once per perturbation group
+// (core.StreamNDRBaseline), legal because the baseline depends only on
+// the two streams, never on the battery. sketch follows the
+// core.SketchFn contract: nil makes every attack run its own pass 1.
 func (e Env) EvaluateStreamPoint(p Params, original, disguised stream.Source, bd core.BuiltDefense, ndr *float64, sketch core.SketchFn) (*core.PrivacyReport, error) {
 	modes := AttackModes(p, bd.Noise)
 	attacks, err := e.Reg.BuildStreamAttacks(modes, core.AttackContext{Noise: bd.Noise, WS: e.WS})
 	if err != nil {
 		return nil, paramErr(err)
 	}
-	baseline := 0.0
-	if ndr != nil {
-		baseline = *ndr
-	} else {
-		baseline, err = core.StreamNDRBaseline(original, disguised)
-		if err != nil {
-			return nil, fmt.Errorf("core: NDR baseline: %w", err)
-		}
-	}
 	desc := fmt.Sprintf("%s (streaming, %d-row chunks)", bd.Scheme.Describe(), p.Chunk)
-	return core.EvaluateStreamWith(original, disguised, desc, baseline, attacks, sketch)
+	return core.EvaluateStreamWith(original, disguised, desc, *ndr, attacks, sketch)
 }
 
 // EvaluateMemoryPoint runs one point's resident battery plus its utility

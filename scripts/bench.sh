@@ -27,17 +27,19 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_PR8.json}"
 BENCHTIME="${2:-100x}"
 
-# BenchmarkAttackUDR and BenchmarkClusterSweepJob have no entry in
-# BENCH_PR8.json: bench_gate.py lists them as missing from the baseline
-# and does not gate them, but every snapshot records them.
+# BenchmarkAttackUDR, BenchmarkClusterSweepJob and UDR's two halves in
+# internal/asr (BenchmarkReconstruct: interval kernel plus rounds;
+# BenchmarkReconstructPosterior: plus the posterior pass) have no entry
+# in BENCH_PR8.json: bench_gate.py lists them as missing from the
+# baseline and does not gate them, but every snapshot records them.
 # BenchmarkEigenSymJacobi and BenchmarkShardedSketch left the set with
 # the code they measured; bench_gate.py lists their BENCH_PR8.json
 # entries as missing in the current run and skips them.
-PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkAttackUDR$|BenchmarkEigenSym$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$|BenchmarkClusterSweepJob$'
+PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkAttackUDR$|BenchmarkEigenSym$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$|BenchmarkClusterSweepJob$|BenchmarkReconstruct$|BenchmarkReconstructPosterior$'
 
 RAW="${OUT}.txt"
 echo "running benches (pattern: ${PATTERN}, benchtime: ${BENCHTIME}) ..." >&2
-go test -run '^$' -bench "${PATTERN}" -benchmem -benchtime "${BENCHTIME}" . ./internal/server >"${RAW}"
+go test -run '^$' -bench "${PATTERN}" -benchmem -benchtime "${BENCHTIME}" . ./internal/server ./internal/asr >"${RAW}"
 cat "${RAW}" >&2
 
 STAMP="$(date -u '+%Y-%m-%dT%H:%M:%SZ')"
