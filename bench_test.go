@@ -1,13 +1,15 @@
 package randpriv_test
 
 // The benchmark harness regenerates every figure of the paper's
-// evaluation section and prints the series it reports, plus the ablation
-// benches called out in DESIGN.md. Run with:
+// evaluation section and prints the series it reports, plus two
+// ablation benches (A1: PCA-DR component selection; A2: Theorem 5.2's
+// noise filter). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Absolute RMSE values depend on the synthetic substrate; EXPERIMENTS.md
-// records the paper-vs-measured comparison of the shapes.
+// Absolute RMSE values depend on the synthetic substrate; the shape tests
+// in internal/experiment pin the figures' qualitative claims (see
+// docs/ARCHITECTURE.md, "Testing strategy").
 
 import (
 	"fmt"
@@ -91,8 +93,8 @@ func BenchmarkFigure4(b *testing.B) {
 	fmt.Printf("\n%s\n", fig)
 }
 
-// BenchmarkUtility runs the §8.1 mining-utility comparison (extension
-// experiment U1 in DESIGN.md).
+// BenchmarkUtility runs the §8.1 mining-utility comparison (the
+// extension experiment of README's §8.1 row).
 func BenchmarkUtility(b *testing.B) {
 	var res *experiment.UtilityResult
 	var err error
@@ -107,8 +109,8 @@ func BenchmarkUtility(b *testing.B) {
 }
 
 // BenchmarkAblationSelection compares PCA-DR component-selection policies
-// (ablation A1 in DESIGN.md): the paper's largest-gap rule, a fixed
-// oracle count, and a 95% energy threshold.
+// (ablation A1): the paper's largest-gap rule, a fixed oracle count, and
+// a 95% energy threshold.
 func BenchmarkAblationSelection(b *testing.B) {
 	rng := rand.New(rand.NewSource(2005))
 	spec := synth.Spectrum{M: 50, P: 5, Principal: 400, Tail: 4}
@@ -188,21 +190,6 @@ func BenchmarkAblationNoiseFilter(b *testing.B) {
 		fmt.Printf("  p=%-3d measured %.4f  predicted %.4f\n", r.p, r.measured, r.predicted)
 	}
 	fmt.Println()
-}
-
-// BenchmarkAblationOracle compares oracle-vs-estimated covariance for the
-// spectral attacks (design choice 2 in DESIGN.md, §5.3 of the paper).
-func BenchmarkAblationOracle(b *testing.B) {
-	var res *experiment.OracleAblation
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiment.AblationOracle(benchCfg(), 50, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	fmt.Printf("\nablation — oracle vs estimated covariance (m=50, p=5):\n%s\n", res)
 }
 
 // BenchmarkPartialDisclosure runs the §3 partial-value-disclosure sweep

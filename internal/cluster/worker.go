@@ -99,9 +99,6 @@ func NewWorker(st *Store, opts WorkerOptions) (*Worker, error) {
 // Start.
 func (w *Worker) Register(typ string, r TaskRunner) { w.runners[typ] = r }
 
-// Node returns the worker's cluster identity.
-func (w *Worker) Node() string { return w.opts.Node }
-
 // Start writes the first heartbeat synchronously — a worker must be
 // provably alive before it claims anything, or the reclaim scan would
 // judge its fresh leases abandoned — then launches the heartbeat and

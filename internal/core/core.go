@@ -72,25 +72,15 @@ func RunAttack(original, disguised *mat.Dense, r recon.Reconstructor) (AttackRes
 // variance sigma2: UDR, SF, PCA-DR and BE-DR (NDR is reported as the
 // baseline in the report itself).
 func StandardAttacks(sigma2 float64) []recon.Reconstructor {
-	return StandardAttacksWS(nil, sigma2)
-}
-
-// StandardAttacksWS is StandardAttacks with the spectral attacks wired
-// to the scratch workspace ws, so a caller that assesses data set after
-// data set (the experiment trial loops, the server's pool workers)
-// reaches a steady state with near-zero allocations per attack. The
-// attacks in one suite share ws and are run sequentially by Evaluate;
-// suites sharing a workspace must not run concurrently.
-func StandardAttacksWS(ws *mat.Workspace, sigma2 float64) []recon.Reconstructor {
 	sigma := math.Sqrt(sigma2)
 	if sigma2 <= 0 {
 		sigma = 1 // let the attacks surface the validation error themselves
 	}
 	return []recon.Reconstructor{
 		recon.NewUDR(sigma),
-		&recon.SF{Sigma2: sigma2, WS: ws},
-		&recon.PCADR{Sigma2: sigma2, Select: recon.SelectGap, WS: ws},
-		&recon.BEDR{Sigma2: sigma2, WS: ws},
+		&recon.SF{Sigma2: sigma2},
+		&recon.PCADR{Sigma2: sigma2, Select: recon.SelectGap},
+		&recon.BEDR{Sigma2: sigma2},
 	}
 }
 
@@ -99,17 +89,11 @@ func StandardAttacksWS(ws *mat.Workspace, sigma2 float64) []recon.Reconstructor 
 // per-attribute variance (they have no way to use Σr), while BE-DR uses
 // the full Eq. 13 estimator.
 func CorrelatedNoiseAttacks(noiseCov *mat.Dense, noiseMean []float64) []recon.Reconstructor {
-	return CorrelatedNoiseAttacksWS(nil, noiseCov, noiseMean)
-}
-
-// CorrelatedNoiseAttacksWS is CorrelatedNoiseAttacks with the attacks
-// wired to the scratch workspace ws (see StandardAttacksWS).
-func CorrelatedNoiseAttacksWS(ws *mat.Workspace, noiseCov *mat.Dense, noiseMean []float64) []recon.Reconstructor {
 	avg := mat.Trace(noiseCov) / float64(noiseCov.Rows())
 	return []recon.Reconstructor{
-		&recon.SF{Sigma2: avg, WS: ws},
-		&recon.PCADR{Sigma2: avg, Select: recon.SelectGap, WS: ws},
-		&recon.BEDR{NoiseCov: noiseCov, NoiseMean: noiseMean, WS: ws},
+		&recon.SF{Sigma2: avg},
+		&recon.PCADR{Sigma2: avg, Select: recon.SelectGap},
+		&recon.BEDR{NoiseCov: noiseCov, NoiseMean: noiseMean},
 	}
 }
 

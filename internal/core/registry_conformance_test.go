@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,7 +27,8 @@ import (
 //   - cancellation: a canceled context fails the run instead of
 //     yielding a partial result;
 //   - boundary validation: invalid parameters are rejected at Build (or
-//     first use), never absorbed;
+//     first use), never absorbed, and an attack fails on a NaN or ±Inf
+//     in the disguised data, on every path it has;
 //   - metadata completeness: capabilities must match the code shape the
 //     dispatcher routes on.
 
@@ -204,6 +206,36 @@ func TestAttackConformance(t *testing.T) {
 					}
 					if _, err := a.Reconstruct(disg); err == nil {
 						t.Errorf("sigma2=%v accepted", bad)
+					}
+				}
+			})
+
+			t.Run("non-finite input", func(t *testing.T) {
+				// The error must name the value: rejected at the boundary,
+				// not by whatever the NaN or Inf breaks further in.
+				rejected := func(err error) bool {
+					return err != nil && strings.Contains(err.Error(), "non-finite")
+				}
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					y := disg.Clone()
+					y.Set(y.Rows()/2, y.Cols()-1, bad)
+					a, err := spec.Build(attackFixtureCtx())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := a.Reconstruct(y); !rejected(err) {
+						t.Errorf("Reconstruct on %v input: err = %v, want a non-finite rejection", bad, err)
+					}
+					if !spec.Caps.Streaming {
+						continue
+					}
+					sa, err := spec.BuildStream(attackFixtureCtx())
+					if err != nil {
+						t.Fatal(err)
+					}
+					var col stream.Collector
+					if err := sa.ReconstructStream(stream.NewMatrixSource(y, 37), &col); !rejected(err) {
+						t.Errorf("ReconstructStream on %v input: err = %v, want a non-finite rejection", bad, err)
 					}
 				}
 			})

@@ -16,10 +16,6 @@ package dp
 import (
 	"fmt"
 	"math"
-	"math/rand"
-
-	"randpriv/internal/dist"
-	"randpriv/internal/mat"
 )
 
 // LaplaceMechanism releases value + Lap(sensitivity/epsilon), the
@@ -52,27 +48,6 @@ func (m LaplaceMechanism) NoiseVariance() float64 {
 	return 2 * b * b
 }
 
-// Release returns value + Laplace noise.
-func (m LaplaceMechanism) Release(value float64, rng *rand.Rand) float64 {
-	return value + dist.NewLaplace(0, m.Scale()).Rand(rng)
-}
-
-// ReleaseMatrix perturbs every entry independently — the "local,
-// per-attribute" release whose effective guarantee the composition
-// accounting below prices.
-func (m LaplaceMechanism) ReleaseMatrix(x *mat.Dense, rng *rand.Rand) *mat.Dense {
-	out := x.Clone()
-	lap := dist.NewLaplace(0, m.Scale())
-	n, _ := x.Dims()
-	for i := 0; i < n; i++ {
-		row := out.RawRow(i)
-		for j := range row {
-			row[j] += lap.Rand(rng)
-		}
-	}
-	return out
-}
-
 // GaussianMechanism releases value + N(0, σ²) with σ calibrated for
 // (ε, δ)-differential privacy via the classic analysis
 // σ ≥ sensitivity·√(2·ln(1.25/δ))/ε (valid for ε ≤ 1).
@@ -99,11 +74,6 @@ func NewGaussianMechanism(epsilon, delta, sensitivity float64) (GaussianMechanis
 // Sigma returns the calibrated noise standard deviation.
 func (m GaussianMechanism) Sigma() float64 {
 	return m.Sensitivity * math.Sqrt(2*math.Log(1.25/m.Delta)) / m.Epsilon
-}
-
-// Release returns value + calibrated Gaussian noise.
-func (m GaussianMechanism) Release(value float64, rng *rand.Rand) float64 {
-	return value + m.Sigma()*rng.NormFloat64()
 }
 
 // Budget tracks cumulative privacy loss under sequential composition.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"randpriv/internal/dist"
+	"randpriv/internal/mat"
 	"randpriv/internal/randomize"
 	"randpriv/internal/recon"
 	"randpriv/internal/stat"
@@ -39,13 +40,23 @@ func TestLaplaceMechanismScale(t *testing.T) {
 	}
 }
 
+// The release is the dp-laplace defense's: value + Lap(b) per entry,
+// through randomize.Additive with the mechanism's scale.
 func TestLaplaceReleaseDistribution(t *testing.T) {
 	m, _ := NewLaplaceMechanism(1, 1) // b = 1, var = 2
 	rng := rand.New(rand.NewSource(1))
 	n := 100000
+	x := mat.Zeros(n, 1)
+	for i := 0; i < n; i++ {
+		x.Set(i, 0, 10)
+	}
+	pert, err := randomize.Additive{Noise: lapDist(m)}.Perturb(x, rng)
+	if err != nil {
+		t.Fatalf("Perturb: %v", err)
+	}
 	var sum, ss float64
 	for i := 0; i < n; i++ {
-		v := m.Release(10, rng)
+		v := pert.Y.At(i, 0)
 		sum += v
 		ss += (v - 10) * (v - 10)
 	}
@@ -127,7 +138,11 @@ func TestBEDRFiltersPerAttributeLaplaceNoise(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLaplaceMechanism: %v", err)
 	}
-	y := mech.ReleaseMatrix(ds.X, rng)
+	pert, err := randomize.Additive{Noise: lapDist(mech)}.Perturb(ds.X, rng)
+	if err != nil {
+		t.Fatalf("Perturb: %v", err)
+	}
+	y := pert.Y
 
 	attack := recon.NewBEDR(mech.NoiseVariance())
 	xhat, err := attack.Reconstruct(y)

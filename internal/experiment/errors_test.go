@@ -33,13 +33,6 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	}
 }
 
-func TestAblationOracleBadDims(t *testing.T) {
-	// p > m breaks the spectrum budget.
-	if _, err := AblationOracle(smallCfg(), 4, 9); err == nil {
-		t.Error("p > m must error")
-	}
-}
-
 func TestFigureSeriesValuesMissing(t *testing.T) {
 	fig := &Figure{Series: []string{"A"}, Points: []Point{{X: 1, RMSE: map[string]float64{"A": 2}}}}
 	if got := fig.SeriesValues("nope"); len(got) != 0 {

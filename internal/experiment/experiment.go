@@ -1,9 +1,11 @@
 // Package experiment regenerates the paper's evaluation: Figures 1–4 of
-// Huang, Du & Chen (SIGMOD 2005), plus the ablations documented in
-// DESIGN.md. Each ExperimentN function performs the corresponding
-// parameter sweep and returns a Figure whose rows can be rendered as text
-// or CSV; absolute values depend on the synthetic substrate, but the
-// qualitative shapes (orderings, trends, crossovers) match the paper.
+// Huang, Du & Chen (SIGMOD 2005), plus two extension experiments, §3's
+// partial-value disclosure and §8.1's mining utility (README's
+// paper-section map). Each ExperimentN function performs the
+// corresponding parameter sweep and returns a Figure whose rows can be
+// rendered as text or CSV; absolute values depend on the synthetic
+// substrate, but the qualitative shapes (orderings, trends, crossovers)
+// match the paper.
 //
 // Every figure point runs through the assessment engine (package sweep),
 // the code randprivd serves, with the registry's attack battery. Points

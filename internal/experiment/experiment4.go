@@ -176,7 +176,8 @@ func (f *Figure4) SeriesValues(name string) []float64 {
 
 // Monotone reports whether xs is non-increasing (dir < 0) or
 // non-decreasing (dir > 0) up to a slack fraction of the series range —
-// the shape checks EXPERIMENTS.md records.
+// the check behind the package's shape tests (docs/ARCHITECTURE.md,
+// "Testing strategy").
 func Monotone(xs []float64, dir int, slack float64) bool {
 	if len(xs) < 2 {
 		return true

@@ -7,8 +7,8 @@
 // The package is self-contained (standard library only) and sized for the
 // problem scales in Huang, Du & Chen (SIGMOD 2005): matrices up to a few
 // hundred columns. Row-major storage is used throughout. Dense products
-// (Mul/MulInto, the transpose-free MulABTInto/MulATBInto, and the
-// symmetric rank-k SymRankKInto) share one blocked kernel layer — kcBlock
+// (Mul/MulInto, the transpose-free MulABTInto and the symmetric rank-k
+// SymRankKInto) share one blocked kernel layer — kcBlock
 // reduction slabs and packed 2×4 register tiles, see gemm.go — that fans
 // large products out across goroutines with results bit-identical to the
 // serial kernel at any GOMAXPROCS. A Workspace arena recycles scratch

@@ -3,7 +3,7 @@ package mat
 import "fmt"
 
 // This file is the blocked GEMM kernel layer. Every dense product in the
-// library — plain A·B, the transpose-free A·Bᵀ and Aᵀ·B forms, and the
+// library — plain A·B, the transpose-free A·Bᵀ form, and the
 // symmetric rank-k Gram update Aᵀ·A — funnels into one register-tiled
 // micro-kernel design:
 //
@@ -303,135 +303,6 @@ func dotTile(dst, a, b []float64, k, n, i0, j0, rows, cols, k0, k1 int) {
 		c13 += av1 * bv3
 	}
 	writeTile(dst, n, i0, j0, rows, cols, c00, c01, c02, c03, c10, c11, c12, c13)
-}
-
-// MulATB returns aᵀ·b for a (k×m) and b (k×n): the transpose-free form of
-// Mul(Transpose(a), b). It completes the kernel family for callers with
-// a left-transposed product; the pipeline's own AᵀA shapes go through
-// the cheaper SymRankKInto, so inside this module MulATB is exercised by
-// the property tests rather than the attacks.
-func MulATB(a, b *Dense) *Dense {
-	if a.rows != b.rows {
-		panic(fmt.Sprintf("mat: MulATB shape mismatch (%dx%d)ᵀ · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	return MulATBInto(Zeros(a.cols, b.cols), a, b)
-}
-
-// MulATBInto computes aᵀ·b into dst (zeroed first) and returns dst
-// without materializing aᵀ. dst must not alias a or b.
-func MulATBInto(dst, a, b *Dense) *Dense {
-	if a.rows != b.rows {
-		panic(fmt.Sprintf("mat: MulATBInto shape mismatch (%dx%d)ᵀ · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if dst.rows != a.cols || dst.cols != b.cols {
-		panic(fmt.Sprintf("mat: MulATBInto destination is %dx%d, want %dx%d", dst.rows, dst.cols, a.cols, b.cols))
-	}
-	if dst == a || dst == b {
-		panic("mat: MulATBInto destination aliases an operand")
-	}
-	for i := range dst.data {
-		dst.data[i] = 0
-	}
-	m, k, n := a.cols, a.rows, b.cols
-	if m == 0 || n == 0 || k == 0 {
-		return dst
-	}
-	workers := 1
-	if flops := int64(m) * int64(k) * int64(n); flops >= gemmParallelMinFlops {
-		workers = maxWorkers()
-	}
-	ad, bd, dd := a.data, b.data, dst.data
-	if workers <= 1 {
-		var packA [mr * kcBlock]float64
-		mulATBRows(dd, ad, bd, m, k, n, 0, m, packA[:])
-		return dst
-	}
-	parallelRows(m, workers, func(r0, r1 int) {
-		var packA [mr * kcBlock]float64
-		mulATBRows(dd, ad, bd, m, k, n, r0, r1, packA[:])
-	})
-	return dst
-}
-
-// mulATBRows computes dst[r0:r1, :] += aᵀ[r0:r1, :]·b. The A panel — a
-// column pair of the k×m operand — is gathered once per tile row into a
-// packed k-major buffer, after which the inner loops match gemmRows.
-func mulATBRows(dst, a, b []float64, m, k, n, r0, r1 int, packA []float64) {
-	for k0 := 0; k0 < k; k0 += kcBlock {
-		k1 := k0 + kcBlock
-		if k1 > k {
-			k1 = k
-		}
-		kc := k1 - k0
-		for i0 := r0; i0 < r1; i0 += mr {
-			rows := r1 - i0
-			if rows > mr {
-				rows = mr
-			}
-			// Pack aᵀ rows [i0,i0+rows) = a columns, k-major.
-			for kk := 0; kk < kc; kk++ {
-				src := a[(k0+kk)*m+i0:]
-				packA[kk*mr] = src[0]
-				if rows > 1 {
-					packA[kk*mr+1] = src[1]
-				} else {
-					packA[kk*mr+1] = 0
-				}
-			}
-			for j0 := 0; j0 < n; j0 += nr {
-				cols := n - j0
-				if cols > nr {
-					cols = nr
-				}
-				atbTile(dst, packA, b, kc, k0, i0, j0, rows, cols, n)
-			}
-		}
-	}
-}
-
-// atbTile is the Aᵀ·B tile kernel: pa is the packed k-major A panel
-// (pa[2k], pa[2k+1] are the two aᵀ rows at depth k) and B is read in
-// place (row k of b is contiguous). It handles any tile width.
-func atbTile(dst, pa, b []float64, kc, k0, i0, j0, rows, cols, n int) {
-	if cols == nr {
-		var c00, c01, c02, c03 float64
-		var c10, c11, c12, c13 float64
-		pa = pa[:kc*mr]
-		for kk := 0; kk < kc; kk++ {
-			bs := b[(k0+kk)*n+j0 : (k0+kk)*n+j0+nr]
-			b0, b1, b2, b3 := bs[0], bs[1], bs[2], bs[3]
-			aq := pa[kk*mr : kk*mr+mr]
-			a0, a1 := aq[0], aq[1]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c02 += a0 * b2
-			c03 += a0 * b3
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c12 += a1 * b2
-			c13 += a1 * b3
-		}
-		writeTile(dst, n, i0, j0, rows, nr, c00, c01, c02, c03, c10, c11, c12, c13)
-		return
-	}
-	for jj := 0; jj < cols; jj++ {
-		var c0, c1 float64
-		for kk := 0; kk < kc; kk++ {
-			bv := b[(k0+kk)*n+j0+jj]
-			aq := pa[kk*mr : kk*mr+mr]
-			c0 += aq[0] * bv
-			c1 += aq[1] * bv
-		}
-		dst[i0*n+j0+jj] += c0
-		if rows > 1 {
-			dst[(i0+1)*n+j0+jj] += c1
-		}
-	}
-}
-
-// SymRankK returns α·aᵀ·a, the m×m Gram matrix of a's columns.
-func SymRankK(a *Dense, alpha float64) *Dense {
-	return SymRankKInto(Zeros(a.cols, a.cols), a, alpha)
 }
 
 // SymRankKInto computes α·aᵀ·a into the m×m destination (zeroed first)

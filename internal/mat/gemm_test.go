@@ -91,20 +91,6 @@ func TestMulABTIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMulATBIntoMatchesNaive validates Aᵀ·B against naive Mul(aᵀ, b).
-func TestMulATBIntoMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, sh := range gemmShapes(rng) {
-		m, k, n := sh[0], sh[1], sh[2]
-		a, b := randDense(k, m, rng), randDense(k, n, rng)
-		got := MulATBInto(Zeros(m, n), a, b)
-		want := naiveMul(Transpose(a), b)
-		if d := maxAbsDiff(t, got, want); d > 1e-10*float64(k+1) {
-			t.Errorf("MulATBInto (%dx%d)ᵀ·%dx%d differs from naive by %g", k, m, k, n, d)
-		}
-	}
-}
-
 // TestSymRankKMatchesNaive validates the triangular Gram kernel against
 // naive aᵀ·a, including symmetry of the mirrored output.
 func TestSymRankKMatchesNaive(t *testing.T) {
@@ -249,8 +235,8 @@ func TestSymRankKSplitBalance(t *testing.T) {
 	}
 }
 
-// TestMulABTConsistentWithMulInto ties the transpose-free forms to the
-// plain kernel through explicitly materialized transposes.
+// TestMulABTConsistentWithMulInto ties the transpose-free form to the
+// plain kernel through an explicitly materialized transpose.
 func TestMulABTConsistentWithMulInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	a := randDense(30, 12, rng)
@@ -259,11 +245,6 @@ func TestMulABTConsistentWithMulInto(t *testing.T) {
 	viaT := Mul(a, Transpose(b))
 	if d := maxAbsDiff(t, abt, viaT); d > 1e-12 {
 		t.Errorf("MulABT differs from Mul(a, bᵀ) by %g", d)
-	}
-	c := randDense(12, 30, rng)
-	atb := MulATB(c, randDense(12, 8, rng))
-	if atb.Rows() != 30 || atb.Cols() != 8 {
-		t.Fatalf("MulATB shape %dx%d, want 30x8", atb.Rows(), atb.Cols())
 	}
 }
 
@@ -281,9 +262,7 @@ func TestGemmShapePanics(t *testing.T) {
 	a := Zeros(3, 4)
 	b := Zeros(5, 6)
 	expectPanic("MulABT mismatch", func() { MulABT(a, b) })
-	expectPanic("MulATB mismatch", func() { MulATB(a, b) })
 	expectPanic("MulABTInto bad dst", func() { MulABTInto(Zeros(1, 1), a, Zeros(5, 4)) })
-	expectPanic("MulATBInto bad dst", func() { MulATBInto(Zeros(1, 1), Zeros(3, 2), Zeros(3, 5)) })
 	expectPanic("SymRankKInto bad dst", func() { SymRankKInto(Zeros(3, 3), a, 1) })
 	expectPanic("SymRankKInto aliased", func() {
 		sq := Zeros(4, 4)

@@ -58,6 +58,6 @@ func RandomOrthogonal(n int, rng *rand.Rand) *Dense {
 
 // IsOrthonormalColumns reports whether qᵀq = I to within tol.
 func IsOrthonormalColumns(q *Dense, tol float64) bool {
-	qtq := SymRankK(q, 1)
+	qtq := SymRankKInto(Zeros(q.cols, q.cols), q, 1)
 	return qtq.EqualApprox(Identity(q.cols), tol)
 }

@@ -117,7 +117,8 @@ func (a *TemporalBEDR) Reconstruct(y *mat.Dense) (*mat.Dense, error) {
 		}
 	}
 
-	centered, means := stat.CenterColumns(y)
+	centered, means := y.Clone(), make([]float64, m)
+	stat.CenterColumnsInPlace(centered, means)
 	q := mat.Scale(1-phi*phi, sigmaX) // innovation covariance keeps Σx stationary
 
 	// Forward Kalman filter over vector states.

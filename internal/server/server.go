@@ -362,9 +362,6 @@ func (t *trackingWriter) Write(p []byte) (int, error) {
 	return t.ResponseWriter.Write(p)
 }
 
-// Unwrap exposes the underlying writer to http.ResponseController.
-func (t *trackingWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
-
 // post wraps a compute handler with the overload pre-check, the body
 // size cap, and the per-request deadline shared by every compute
 // endpoint. The method check lives in the route table's allowMethods

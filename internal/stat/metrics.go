@@ -32,25 +32,6 @@ func MSE(xhat, x *mat.Dense) float64 {
 // RMSE returns the root mean square error — the y-axis of Figures 1–4.
 func RMSE(xhat, x *mat.Dense) float64 { return math.Sqrt(MSE(xhat, x)) }
 
-// MAE returns the mean absolute error between xhat and x.
-func MAE(xhat, x *mat.Dense) float64 {
-	if xhat.Rows() != x.Rows() || xhat.Cols() != x.Cols() {
-		panic(fmt.Sprintf("stat: MAE shape mismatch %dx%d vs %dx%d",
-			xhat.Rows(), xhat.Cols(), x.Rows(), x.Cols()))
-	}
-	n, m := x.Dims()
-	total := n * m
-	if total == 0 {
-		return 0
-	}
-	var s float64
-	a, b := xhat.Raw(), x.Raw()
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s / float64(total)
-}
-
 // ColumnRMSE returns the per-attribute RMSE, exposing which attributes
 // leak the most under a reconstruction attack.
 func ColumnRMSE(xhat, x *mat.Dense) []float64 {

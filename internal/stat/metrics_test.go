@@ -19,14 +19,11 @@ func TestMSERMSEKnown(t *testing.T) {
 	if got := RMSE(xhat, x); math.Abs(got-math.Sqrt(1.25)) > 1e-15 {
 		t.Errorf("RMSE = %v", got)
 	}
-	if got := MAE(xhat, x); math.Abs(got-0.75) > 1e-15 {
-		t.Errorf("MAE = %v, want 0.75", got)
-	}
 }
 
 func TestMSEZeroForIdentical(t *testing.T) {
 	x := mat.New(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if MSE(x, x) != 0 || RMSE(x, x) != 0 || MAE(x, x) != 0 {
+	if MSE(x, x) != 0 || RMSE(x, x) != 0 {
 		t.Error("error metrics of identical matrices must be 0")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // At the paper's scale (m=100 attributes from n=1000 records) the raw
 // sample covariance is noisy enough to visibly hurt the Bayes attack,
 // which inverts the whole matrix; shrinkage restores BE-DR's dominance
-// over the subspace methods (see the Figure-1 caveat in EXPERIMENTS.md).
+// over the subspace methods.
 //
 // It returns the shrunk estimate and the intensity α ∈ [0,1].
 func LedoitWolf(data *mat.Dense) (*mat.Dense, float64) {
@@ -22,7 +22,8 @@ func LedoitWolf(data *mat.Dense) (*mat.Dense, float64) {
 	if n < 2 || m == 0 {
 		return mat.Zeros(m, m), 0
 	}
-	centered, _ := CenterColumns(data)
+	centered := data.Clone()
+	CenterColumnsInPlace(centered, make([]float64, m))
 	// S with 1/n normalization (the LW derivation's convention).
 	s := mat.Zeros(m, m)
 	for i := 0; i < n; i++ {

@@ -121,26 +121,10 @@ func ColumnVariances(data *mat.Dense) []float64 {
 	return out
 }
 
-// CenterColumns returns a copy of data with each column shifted to zero
-// mean, along with the removed means. PCA (§5.1.1) requires 0-mean data;
-// the means are added back after reconstruction.
-func CenterColumns(data *mat.Dense) (centered *mat.Dense, means []float64) {
-	means = ColumnMeans(data)
-	centered = data.Clone()
-	n, _ := data.Dims()
-	for i := 0; i < n; i++ {
-		row := centered.RawRow(i)
-		for j := range row {
-			row[j] -= means[j]
-		}
-	}
-	return centered, means
-}
-
 // CenterColumnsInPlace shifts every column of data to zero mean, writing
 // the removed means into the caller-provided means slice (len must be
-// Cols()). It is the allocation-free form of CenterColumns for the
-// workspace-threaded attack paths.
+// Cols()). PCA (§5.1.1) requires 0-mean data; the attacks add the means
+// back after reconstruction (AddToColumnsInPlace).
 func CenterColumnsInPlace(data *mat.Dense, means []float64) {
 	ColumnMeansInto(means, data)
 	n := data.Rows()
@@ -150,13 +134,6 @@ func CenterColumnsInPlace(data *mat.Dense, means []float64) {
 			row[j] -= means[j]
 		}
 	}
-}
-
-// AddToColumns returns a copy of data with means[j] added to column j.
-func AddToColumns(data *mat.Dense, means []float64) *mat.Dense {
-	out := data.Clone()
-	AddToColumnsInPlace(out, means)
-	return out
 }
 
 // AddToColumnsInPlace adds means[j] to column j of data, mutating it.
@@ -245,14 +222,9 @@ func RecoverCovarianceInPlace(covY *mat.Dense, sigma2 float64) {
 	}
 }
 
-// RecoverCovarianceGeneral applies Theorem 8.2: Σx = Σy − Σr for
-// correlated noise with known covariance Σr.
-func RecoverCovarianceGeneral(covY, covR *mat.Dense) *mat.Dense {
-	return mat.Sub(covY, covR)
-}
-
-// RecoverCovarianceGeneralInPlace is RecoverCovarianceGeneral mutating
-// covY (covR is read only).
+// RecoverCovarianceGeneralInPlace applies Theorem 8.2, Σx = Σy − Σr for
+// correlated noise with known covariance Σr, to covY in place (covR is
+// read only).
 func RecoverCovarianceGeneralInPlace(covY, covR *mat.Dense) {
 	cd, rd := covY.Raw(), covR.Raw()
 	if len(cd) != len(rd) {

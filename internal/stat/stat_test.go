@@ -94,25 +94,27 @@ func TestCenterColumnsRoundTrip(t *testing.T) {
 			d.Set(i, j, rng.NormFloat64()*3+float64(j))
 		}
 	}
-	centered, means := CenterColumns(d)
+	centered := d.Clone()
+	means := make([]float64, 4)
+	CenterColumnsInPlace(centered, means)
 	for j, m := range ColumnMeans(centered) {
 		if math.Abs(m) > 1e-12 {
 			t.Errorf("centered column %d mean = %v, want 0", j, m)
 		}
 	}
-	back := AddToColumns(centered, means)
-	if !back.EqualApprox(d, 1e-12) {
-		t.Error("AddToColumns(CenterColumns(d)) != d")
+	AddToColumnsInPlace(centered, means)
+	if !centered.EqualApprox(d, 1e-12) {
+		t.Error("centering then adding the means back did not restore d")
 	}
 }
 
 func TestAddToColumnsLengthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AddToColumns length mismatch did not panic")
+			t.Fatal("AddToColumnsInPlace length mismatch did not panic")
 		}
 	}()
-	AddToColumns(mat.Zeros(2, 3), []float64{1})
+	AddToColumnsInPlace(mat.Zeros(2, 3), []float64{1})
 }
 
 func TestCovarianceMatrixKnown(t *testing.T) {
@@ -259,9 +261,10 @@ func TestTheorem51(t *testing.T) {
 func TestRecoverCovarianceGeneral(t *testing.T) {
 	covY := mat.New(2, 2, []float64{5, 1, 1, 6})
 	covR := mat.New(2, 2, []float64{1, 0.5, 0.5, 2})
-	got := RecoverCovarianceGeneral(covY, covR)
+	got := covY.Clone()
+	RecoverCovarianceGeneralInPlace(got, covR)
 	want := mat.New(2, 2, []float64{4, 0.5, 0.5, 4})
 	if !got.EqualApprox(want, 1e-14) {
-		t.Errorf("RecoverCovarianceGeneral = %v, want %v", got, want)
+		t.Errorf("RecoverCovarianceGeneralInPlace = %v, want %v", got, want)
 	}
 }
